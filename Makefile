@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-codec bench-smoke chaos fuzz fuzz-ci race ci check docs-check api-check api-snapshot smoke-daemon
+.PHONY: all build test vet bench bench-codec bench-smoke bench-check chaos flake fuzz fuzz-ci race ci check docs-check api-check api-snapshot smoke-daemon
 
 all: check
 
@@ -30,10 +30,12 @@ ci: build vet test
 race:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/core/ ./internal/disk/ ./internal/cache/
 
-# check is the default gate: tier-1 plus race, the chaos suite, a short
-# fuzz budget, the documentation and API gates, the perf smoke pass and the
-# daemon smoke test.
-check: ci race chaos fuzz-ci docs-check api-check bench-smoke smoke-daemon
+# check is the default gate: tier-1 plus race, the chaos suite, a short fuzz
+# budget, the documentation and API gates, the perf smoke pass, the
+# regression-benchmark harness, the daemon smoke test and, last because it
+# still has a known failure (see flake), the chaos suite's repeat-run flake
+# hunt.
+check: ci race chaos fuzz-ci docs-check api-check bench-smoke bench-check smoke-daemon flake
 
 # smoke-daemon builds the real graphhd binary, serves a generated dataset on
 # a loopback port, submits PageRank through the typed Go client, asserts the
@@ -55,19 +57,43 @@ chaos:
 		-run 'Recovery|Fault|Wire|Kill|Checkpoint|SessionRecovers|SessionDead|AllServersDie|Rejoin|JoinBetweenJobs|JoinValidation|JobBarrierNoLeak' \
 		./internal/core/ ./internal/disk/ .
 
+# flake repeats the two chaos tests that used to fail about one run in two —
+# a sibling runner loading a tile blob while recovery re-admitted it with a
+# truncate-then-write ("csr: encoded tile too short (0 bytes)") — twenty
+# times each, without and with the race detector (the schedules differ).
+# That failure is gone; what is left is a membership race in
+# TestMultiJobRejoin at ≈ 1.7 % a run ("job barrier: transport closed",
+# "no tcp connection X->Y"; ROADMAP item 0 has the diagnosis), so expect this
+# target to fail about one time in two until that lands. Any other message —
+# a short or torn tile read above all — is a regression.
+flake:
+	$(GO) test -count=20 -run 'TestMultiJobCrashRecoverySweep|TestMultiJobRejoin' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestMultiJobCrashRecoverySweep|TestMultiJobRejoin' ./internal/core/
+
+# bench-check covers the regression benchmark, which tier-1 cannot see:
+# benchmark/ is a module of its own (`go test ./...` skips it) that imports
+# this repository's internal packages directly, so a signature change here
+# can break it silently. Vet and test the harness, then run all four
+# workloads end to end on tiny graphs (< 10 s) exactly as the driver builds
+# and runs them. BENCHMARK.json and benchmark/ change only in a PR that
+# claims no gain.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
+	bash benchmark/run.sh -smoke
+
 # bench-smoke is the fast perf sanity pass: the skewed-partition
 # rebalancing experiment at a tiny scale (exercises migration end to end
 # and checks bit-identical results), the smallest point of the out-of-core
 # sweep (prefetch off vs on at a 25% cache budget), the two-job
 # multi-tenant session vs back-to-back (checks bit-identity and that the
 # shared sweep beats serial), plus the allocation guards on the pipelined
-# send, receive and prefetch-hit paths.
+# send, receive, prefetch-hit and whole-superstep paths.
 bench-smoke:
 	GRAPHH_BENCH_SCALE=0.05 $(GO) run ./cmd/graphh-bench -exp skew -supersteps 8
 	GRAPHH_BENCH_SCALE=0.05 GRAPHH_OOC_BUDGETS=25 $(GO) run ./cmd/graphh-bench -exp ooc -supersteps 6
 	GRAPHH_BENCH_SCALE=0.05 $(GO) run ./cmd/graphh-bench -exp multijob -supersteps 8
 	$(GO) test ./internal/cluster/ -run TestRecvSteadyStateAllocs -count=1
-	$(GO) test ./internal/core/ -run 'TestProcessTileSteadyStateAllocs|TestPrefetchSteadyStateAllocs' -count=1
+	$(GO) test ./internal/core/ -run 'TestProcessTileSteadyStateAllocs|TestPrefetchSteadyStateAllocs|TestRunStepSteadyStateAllocs' -count=1
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkRecovery4Servers -benchtime 1x -count=1
 
 # api-check surfaces accidental public-API breaks: the root package's

@@ -1,9 +1,11 @@
 // Roadtrip: single-source shortest paths over a weighted grid "road
 // network". Bounded-degree planar graphs are the opposite workload extreme
 // from power-law webs: the SSSP frontier stays narrow for hundreds of
-// supersteps, which is exactly what GraphH's Bloom-filter tile skipping
-// (§III-C-4) accelerates. The example runs with and without skipping and
-// reports the difference.
+// supersteps, which is exactly what GraphH's inactive-tile skipping
+// (§III-C-4) targets — and where the engine goes one step further and, in
+// the tiles it does load, re-gathers only the targets that have an updated
+// in-neighbour. The example runs with and without sparse-superstep handling
+// and reports tiles and edges touched either way.
 //
 //	go run ./examples/roadtrip
 package main
@@ -48,19 +50,19 @@ func main() {
 	withSkip := run(true)
 	withoutSkip := run(false)
 
-	count := func(r *graphh.Result) (loaded, skipped int) {
+	report := func(label string, r *graphh.Result) {
+		var loaded, skipped int
+		var gathered int64
 		for _, st := range r.Steps {
 			loaded += st.LoadedTiles
 			skipped += st.SkippedTiles
+			gathered += st.GatheredEdges
 		}
-		return loaded, skipped
+		fmt.Printf("%-15s %4d supersteps, %6d tiles loaded, %6d skipped, %10d edges gathered\n",
+			label, r.Supersteps, loaded, skipped, gathered)
 	}
-	l1, s1 := count(withSkip)
-	l2, s2 := count(withoutSkip)
-	fmt.Printf("with bloom skip:    %4d supersteps, %6d tiles loaded, %6d skipped\n",
-		withSkip.Supersteps, l1, s1)
-	fmt.Printf("without bloom skip: %4d supersteps, %6d tiles loaded, %6d skipped\n",
-		withoutSkip.Supersteps, l2, s2)
+	report("sparse handling:", withSkip)
+	report("full sweep:", withoutSkip)
 
 	// Sanity: identical distances either way.
 	for v := range withSkip.Values {

@@ -49,7 +49,7 @@ func runAblationReplication(c *Context, w io.Writer) error {
 func runAblationBloomSkip(c *Context, w io.Writer) error {
 	// SSSP keeps a narrow frontier: the skipping sweet spot.
 	tw := newTable(w)
-	fmt.Fprintln(tw, "graph\tbloom-skip\tsupersteps\ttiles-loaded\ttiles-skipped\tdisk-rd-MB\tavg-step-ms")
+	fmt.Fprintln(tw, "graph\tbloom-skip\tsupersteps\ttiles-loaded\ttiles-skipped\tedges-gathered\tdisk-rd-MB\tavg-step-ms")
 	for _, ds := range []string{"uk2007-sim"} {
 		for _, skip := range []bool{true, false} {
 			res, err := c.runGraphH(ds, apps.SSSP{Source: 0}, c.Servers, func(cfg *core.Config) {
@@ -61,16 +61,17 @@ func runAblationBloomSkip(c *Context, w io.Writer) error {
 				return err
 			}
 			var loaded, skipped int
-			var rd int64
+			var gathered, rd int64
 			for _, st := range res.Steps {
 				loaded += st.LoadedTiles
 				skipped += st.SkippedTiles
+				gathered += st.GatheredEdges
 			}
 			for _, sv := range res.Servers {
 				rd += sv.Disk.ReadBytes
 			}
-			fmt.Fprintf(tw, "%s\t%v\t%d\t%d\t%d\t%s\t%s\n", ds, skip,
-				res.Supersteps, loaded, skipped, mb(rd), ms(res.AvgStepDuration()))
+			fmt.Fprintf(tw, "%s\t%v\t%d\t%d\t%d\t%d\t%s\t%s\n", ds, skip,
+				res.Supersteps, loaded, skipped, gathered, mb(rd), ms(res.AvgStepDuration()))
 		}
 	}
 	return tw.Flush()

@@ -121,8 +121,10 @@ func (s *server) writeCheckpoint(step int, st *StepStats) error {
 }
 
 // restoreCheckpoint loads the checkpoint for step back into the vertex
-// vector.
+// vector. The restored state has no known delta, so the frontier is reset:
+// the first replayed step sweeps densely.
 func (s *server) restoreCheckpoint(step int) error {
+	s.frontier.reset()
 	blob, err := s.store.Read(s.ckptName(step))
 	if err != nil {
 		return fmt.Errorf("core: server %d reading checkpoint for step %d: %w", s.node.ID(), step, err)

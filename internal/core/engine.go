@@ -82,10 +82,15 @@ type Config struct {
 	// it as the per-job default; JobOptions.MaxSupersteps overrides it for
 	// one Submit.
 	MaxSupersteps int
-	// BloomSkip enables inactive-tile skipping (§III-C-4).
+	// BloomSkip enables sparse-superstep handling (§III-C-4 and
+	// frontier.go): tiles none of whose sources changed in the previous
+	// step are skipped, and loaded tiles re-gather only the rows with a
+	// changed in-neighbour. Off, every step sweeps every row of every tile.
+	// Programs must meet the Program idempotence contract to run with it on.
 	BloomSkip bool
-	// BloomCheckLimit is the largest updated-vertex count for which tile
-	// filters are consulted; above it every tile is loaded. Default 1024.
+	// BloomCheckLimit is the largest updated-vertex count for which the
+	// tiles' Bloom filters are consulted; above it only the source-range
+	// test can skip a tile. Default 1024.
 	BloomCheckLimit int
 	// Lockstep disables the pipelined communication subsystem: workers
 	// broadcast synchronously under one per-server mutex and foreign
@@ -307,10 +312,26 @@ type tileMeta struct {
 	blob     string // precomputed store name, hot-path reads avoid Sprintf
 	lo, hi   uint32
 	encBytes int64
-	filter   interface {
+	// srcMin and srcMax bound the tile's source ids (srcMin > srcMax when it
+	// has no edges): the frontier's cheap first-stage skip test.
+	srcMin, srcMax uint32
+	filter         interface {
 		ContainsAny([]uint32) bool
 		SizeBytes() int
 	}
+}
+
+// newTileMeta builds the descriptor of a freshly decoded tile whose encoded
+// form is encBytes long, taking ownership of the tile's Bloom filter.
+func (s *server) newTileMeta(id int, tl *csr.Tile, encBytes int) *tileMeta {
+	meta := &tileMeta{id: id, blob: tileBlobName(id), lo: tl.TargetLo, hi: tl.TargetHi, encBytes: int64(encBytes)}
+	meta.srcMin, meta.srcMax = tl.SourceRange()
+	if tl.Filter != nil {
+		meta.filter = tl.Filter
+		s.bloomBytes += int64(tl.Filter.SizeBytes())
+		tl.Filter = nil // meta owns it now; a reused tile's next decode allocates anew
+	}
+	return meta
 }
 
 // Run executes the program on the input until convergence or MaxSupersteps.
@@ -500,6 +521,11 @@ type server struct {
 	members    []uint32 // OnDemand replica members; nil under AllInAll
 	bloomBytes int64
 	state      *vertexState
+	// frontier is the set of vertices the previous superstep changed (see
+	// frontier.go); stepsBuf backs the job's step record. Both keep their
+	// storage across jobs.
+	frontier frontier
+	stepsBuf []StepStats
 
 	// Per-job state, reset by runJob: the program, its context and
 	// effective knobs, and the result being filled.
@@ -807,9 +833,11 @@ func (s *server) runJob(jb *job) (fatal error) {
 	return nil
 }
 
-// initJobState resets the vertex replicas to the program's initial values.
+// initJobState resets the vertex replicas to the program's initial values
+// and, with them, the frontier: no delta describes a freshly written state.
 // The backing arrays are session-lifetime; only the values are per-job.
 func (s *server) initJobState() {
+	s.frontier.reset()
 	if s.cfg.Replication == OnDemand {
 		if s.state == nil {
 			s.state = newOnDemandState(s.members)
@@ -868,13 +896,7 @@ func (s *server) setup() error {
 		if err := csr.DecodeInto(&tl, enc); err != nil {
 			return fmt.Errorf("core: server %d decoding tile %d: %w", s.node.ID(), i, err)
 		}
-		meta := &tileMeta{id: i, blob: tileBlobName(i), lo: tl.TargetLo, hi: tl.TargetHi, encBytes: int64(len(enc))}
-		if tl.Filter != nil {
-			meta.filter = tl.Filter
-			s.bloomBytes += int64(tl.Filter.SizeBytes())
-			tl.Filter = nil // meta owns it now; the next decode allocates anew
-		}
-		s.metas = append(s.metas, meta)
+		s.metas = append(s.metas, s.newTileMeta(i, &tl, len(enc)))
 		totalEnc += int64(len(enc))
 		if memberSet != nil {
 			for v := tl.TargetLo; v < tl.TargetHi; v++ {
@@ -1044,8 +1066,8 @@ func (s *server) setup() error {
 // superstepLoop is Algorithm 5 lines 5–22, plus the superstep-boundary
 // rebalance phase (rebalance.go) and adaptive send-queue resizing between
 // the BSP barriers. It is re-entrant per session: every per-job quantity —
-// halt votes, the updated-vertex list, step stats — lives in locals or in
-// fields runJob reset, while tiles, cache and scratch stay warm.
+// halt votes, the frontier, step stats — lives in locals or in fields runJob
+// reset, while tiles, cache and scratch stay warm.
 //
 // Cancellation is decided at the step-end barrier: each server votes its
 // context's state, and the OR of the votes aborts all servers at the same
@@ -1067,13 +1089,14 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 		SparsityThreshold: s.cfg.SparsityThreshold,
 		Codec:             s.msgCodec,
 	}
+	crew := s.startCrew(encOpts)
+	defer crew.stop()
 
-	var steps []StepStats
-	var prevUpdated []uint32 // nil = unknown or too many: process all tiles
-	// updatedBuf backs the per-step updated-vertex list. One buffer is
-	// enough: the workers read prevUpdated only before wg.Wait, and the next
-	// step's list is rebuilt from [:0] strictly after that.
-	var updatedBuf []uint32
+	// The step record reuses the server's buffer from job to job (Submit's
+	// mergeSteps copies the rows out before this server can start another
+	// job), so a warm job appends into settled capacity.
+	steps := s.stepsBuf[:0]
+	defer func() { s.stepsBuf = steps[:0] }()
 
 	for step := start; step < s.maxSteps; step++ {
 		if s.multi {
@@ -1091,11 +1114,15 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 			// quality, never results.
 			s.cache.AdvanceEpoch()
 		}
-		st, updatedTotal, newUpdated, overLimit, err := s.runStep(step, prevUpdated, updatedBuf, encOpts)
+		st, updatedTotal, err := s.runStep(step, crew)
 		if err != nil {
 			if !s.canRecover(err) {
 				return steps, err
 			}
+			// Recovery rewrites the vertex state (checkpoint restore or
+			// restart), which also marks the frontier unknown: the first
+			// replayed step sweeps densely, later ones select again.
+			crew.settle()
 			restore, rerr := s.recoverFromFailure()
 			if rerr != nil {
 				return steps, rerr
@@ -1110,8 +1137,6 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 				steps = steps[:len(steps)-1]
 			}
 			step = restore // the loop increment resumes at restore+1
-			prevUpdated = nil
-			updatedBuf = updatedBuf[:0]
 			continue
 		}
 		steps = append(steps, st)
@@ -1128,24 +1153,114 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 		if s.adaptiveQueue && s.sender != nil {
 			s.adaptSendQueue()
 		}
-		updatedBuf = newUpdated
-		prevUpdated = newUpdated
-		if overLimit {
-			prevUpdated = nil
-		}
 	}
 	return steps, nil
+}
+
+// stepCrew is the goroutine crew of one job's superstep loop on one server:
+// T tile workers fed tile indices over work and, in pipelined mode, one
+// receiver fed step numbers over recvReq. It lives for the whole job so a
+// superstep starts no goroutine and allocates nothing; runStep publishes the
+// step number before feeding, and the channel sends order that write before
+// the crew's reads.
+type stepCrew struct {
+	s       *server
+	encOpts comm.Options
+	step    int
+
+	work    chan int
+	tiles   sync.WaitGroup // tiles of the current step still being processed
+	workers sync.WaitGroup // worker goroutines, joined by stop
+
+	recvReq chan int   // nil when the job has no pipelined receive
+	recvRes chan error // capacity 1: at most one receive is outstanding
+	// pending is set while a requested receive's result has not been read.
+	// runStep can return with it set (a tile or flush error, a scripted
+	// mid-step kill); the loop then either ends the job or calls settle
+	// before it steps again, so a step never reads an earlier step's result.
+	pending bool
+}
+
+// startCrew starts the crew for the job this server is about to loop over.
+func (s *server) startCrew(encOpts comm.Options) *stepCrew {
+	// One slot of buffer lets the feed loop run a tile ahead of the workers,
+	// so its prefetcher.reach for tile k+1 is not held up until a worker
+	// blocks inside tile k (measured on the out-of-core path: without the
+	// slot, steps are ≈ 15 % longer at the same device time).
+	c := &stepCrew{s: s, encOpts: encOpts, work: make(chan int, 1)}
+	c.workers.Add(s.cfg.WorkersPerServer)
+	for w := 0; w < s.cfg.WorkersPerServer; w++ {
+		go c.tileWorker(s.scratch[w])
+	}
+	if s.sender != nil {
+		c.recvReq = make(chan int)
+		c.recvRes = make(chan error, 1)
+		// ctx rides in as an argument, not via the s.ctx field: on a hard
+		// error the loop returns without joining the receiver, which then
+		// must not race runJob's per-job field teardown (the cluster abort
+		// or the membership interrupt is what unblocks and ends it). In a
+		// serial session the straggler holds the node's quiesce gate: it
+		// shares the server struct a replacement runner would reuse, so a
+		// rejoin must wait it out. Holding the gate for the crew's lifetime
+		// rather than per step drains it no later: the serial runner holds
+		// it around all of runJob anyway, and stop (deferred by the loop)
+		// releases an idle receiver before runJob returns.
+		if !s.multi {
+			s.shared.quiesceEnter()
+		}
+		go c.receiver(s.ctx)
+	}
+	return c
+}
+
+func (c *stepCrew) tileWorker(scr *workerScratch) {
+	defer c.workers.Done()
+	for k := range c.work {
+		c.s.outs[k] = c.s.processTile(k, c.step, c.encOpts, scr)
+		c.tiles.Done()
+	}
+}
+
+func (c *stepCrew) receiver(ctx context.Context) {
+	if !c.s.multi {
+		defer c.s.shared.quiesceExit()
+	}
+	for step := range c.recvReq {
+		c.recvRes <- c.s.receiveStep(ctx, step)
+	}
+}
+
+// settle joins a receive that runStep abandoned and discards its result. It
+// is called on the recovery path, before recovery rewrites the state the
+// receive reads (ackedEpoch, the staging buffers): the membership change
+// being recovered from is what ends the abandoned receive.
+func (c *stepCrew) settle() {
+	if c.pending {
+		<-c.recvRes
+		c.pending = false
+	}
+}
+
+// stop ends the crew. Workers are always idle here (runStep joins every
+// tile it fed) and are waited for; the receiver is only told to exit — after
+// a step that returned without joining its receive it is still unwinding.
+func (c *stepCrew) stop() {
+	close(c.work)
+	c.workers.Wait()
+	if c.recvReq != nil {
+		close(c.recvReq)
+	}
 }
 
 // runStep executes one superstep: compute over the assigned tiles with the
 // pipelined (or lockstep) broadcast of updates, the counted receive of
 // every live peer's batches, the step-end consensus barrier, and the
 // checkpoint and rebalance phases inside the barrier bracket. It returns
-// the step's stats, the global updated count, the new updated-vertex list
-// (sharing updatedBuf's backing array) and whether that list overflowed
-// BloomCheckLimit. A cluster.ErrMembershipChanged return means a peer died
-// mid-step and the caller should run recovery.
-func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts comm.Options) (st StepStats, updatedTotal int, newUpdated []uint32, overLimit bool, err error) {
+// the step's stats and the global updated count, and leaves the vertices it
+// absorbed in s.frontier for the next step's sweep. A
+// cluster.ErrMembershipChanged return means a peer died mid-step and the
+// caller should run recovery.
+func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal int, err error) {
 	n := s.node
 	st = StepStats{Superstep: step}
 	// Step edge: fire any scripted rejoin pinned to this step (parking here
@@ -1159,7 +1274,7 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	}
 	s.pollJoinRequests()
 	if k, ok := s.faults.killAt(n.ID(), step, KillAtStepStart); ok {
-		return st, 0, nil, false, s.die(k.Hang)
+		return st, 0, s.die(k.Hang)
 	}
 	stepStart := time.Now()
 	// Wire accounting multiplies each batch by the live peer count; dead
@@ -1169,94 +1284,63 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	// Pipelined receive: decode foreign batches into per-sender scratch
 	// as they arrive, concurrently with local compute. Applying waits
 	// until compute finishes so every gather reads step-(k-1) values.
-	var recvErr chan error
-	if s.sender != nil && s.stepExpected() > 0 {
-		recvErr = make(chan error, 1)
-		// ctx rides in as an argument, not via the s.ctx field: on a
-		// hard error the loop can return without joining this
-		// goroutine, which then must not race runJob's per-job field
-		// teardown (the cluster abort or the membership interrupt is
-		// what unblocks and ends it). In a serial session the orphan
-		// holds the node's quiesce gate: it shares the server struct a
-		// replacement runner would reuse, so a rejoin must wait it out.
-		if !s.multi {
-			sh := s.shared
-			sh.quiesceEnter()
-			go func(ctx context.Context) {
-				defer sh.quiesceExit()
-				recvErr <- s.receiveStep(ctx, step)
-			}(s.ctx)
-		} else {
-			go func(ctx context.Context) { recvErr <- s.receiveStep(ctx, step) }(s.ctx)
-		}
+	crew.step = step
+	receiving := crew.recvReq != nil && s.stepExpected() > 0
+	if receiving {
+		crew.recvReq <- step
+		crew.pending = true
 	}
 
 	// Parallel tile processing on T workers (OpenMP pragma analog).
-	outs := s.outs
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.WorkersPerServer; w++ {
-		wg.Add(1)
-		go func(scr *workerScratch) {
-			defer wg.Done()
-			for k := range work {
-				outs[k] = s.processTile(k, step, prevUpdated, encOpts, scr)
-			}
-		}(s.scratch[w])
-	}
 	if s.pf != nil {
 		// New sweep: drain the previous step's staging and hand the
 		// prefetcher this step's tile order and skip predicate.
-		s.pf.restart(s.metas, prevUpdated, step, s.cfg.BloomSkip)
+		s.pf.restart(s.metas, &s.frontier)
 	}
+	crew.tiles.Add(len(s.metas))
 	for k := range s.metas {
 		if s.pf != nil {
 			// Keep the staging window pfDepth tiles ahead of the feed
 			// position; reach never blocks on I/O.
 			s.pf.reach(k + s.pfDepth)
 		}
-		work <- k
+		crew.work <- k
 	}
-	close(work)
-	wg.Wait()
+	crew.tiles.Wait()
 
 	if k, ok := s.faults.killAt(n.ID(), step, KillMidStep); ok {
 		// Mid-step: this server's batches are enqueued or on the wire, but
 		// it will never finish receiving or reach the barrier. A pending
 		// receive goroutine unwinds via the membership interrupt the death
 		// provokes; it only touches this zombie's private scratch.
-		return st, 0, nil, false, s.die(k.Hang)
+		return st, 0, s.die(k.Hang)
 	}
 
-	updatedTotal = 0
-	newUpdated = updatedBuf[:0]
-	overLimit = false
+	// Compute is over: nothing reads the old frontier any more, so start
+	// recording this step's. Without tile skipping the frontier stays
+	// unknown and every step is the full dense sweep.
+	if s.cfg.BloomSkip {
+		s.frontier.begin(s.graph.NumVertices, s.cfg.BloomCheckLimit)
+	}
 	absorb := func(ups []comm.Update) {
 		for _, u := range ups {
 			s.state.set(u.ID, u.Value)
 		}
 		updatedTotal += len(ups)
-		if !overLimit {
-			for _, u := range ups {
-				newUpdated = append(newUpdated, u.ID)
-			}
-			if len(newUpdated) > s.cfg.BloomCheckLimit {
-				overLimit = true
-				newUpdated = newUpdated[:0] // keep the buffer for reuse
-			}
-		}
+		s.frontier.add(ups)
 	}
 
-	for k := range outs {
-		o := &outs[k]
+	for k := range s.outs {
+		o := &s.outs[k]
 		if o.err != nil {
-			return st, 0, nil, false, o.err
+			return st, 0, o.err
 		}
 		if o.skipped {
 			st.SkippedTiles++
 		} else {
 			st.LoadedTiles++
 		}
+		st.GatheredEdges += o.gathered
 		if o.enc.Mode == comm.DenseMode {
 			st.DenseMsgs++
 		} else {
@@ -1274,12 +1358,14 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	// staged updates in sender-rank order. Lockstep: receive and stage
 	// everything here, after compute, through the same counted protocol.
 	switch {
-	case recvErr != nil:
+	case receiving:
 		if err := s.sender.Flush(); err != nil {
-			return st, 0, nil, false, err
+			return st, 0, err
 		}
-		if err := <-recvErr; err != nil {
-			return st, 0, nil, false, err
+		err := <-crew.recvRes
+		crew.pending = false
+		if err != nil {
+			return st, 0, err
 		}
 		for from := range s.staged {
 			absorb(s.staged[from])
@@ -1288,11 +1374,11 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	case n.NumNodes() > 1:
 		if s.sender != nil {
 			if err := s.sender.Flush(); err != nil {
-				return st, 0, nil, false, err
+				return st, 0, err
 			}
 		}
 		if err := s.receiveStep(nil, step); err != nil {
-			return st, 0, nil, false, err
+			return st, 0, err
 		}
 		for from := range s.staged {
 			absorb(s.staged[from])
@@ -1306,7 +1392,7 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	if k, ok := s.faults.killAt(n.ID(), step, KillAtBarrier); ok {
 		// This server absorbed the step but never votes; survivors detect
 		// it at the barrier (instantly for a crash, by timeout for a hang).
-		return st, 0, nil, false, s.die(k.Hang)
+		return st, 0, s.die(k.Hang)
 	}
 
 	// First barrier: every server has absorbed every update batch of
@@ -1316,15 +1402,15 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	// leaving the transport clean for the session's next job.
 	d, berr := s.barrierVote(s.ctx.Err() != nil)
 	if berr != nil {
-		return st, 0, nil, false, berr
+		return st, 0, berr
 	}
 	if d {
 		if cerr := s.ctx.Err(); cerr != nil {
-			return st, 0, nil, false, jobCancelled{cause: cerr}
+			return st, 0, jobCancelled{cause: cerr}
 		}
 		// The vote was forced by a broken barrier: a peer hit a hard
 		// error and the cluster is aborting underneath us.
-		return st, 0, nil, false, fmt.Errorf("core: server %d: superstep barrier: %w", n.ID(), cluster.ErrClosed)
+		return st, 0, fmt.Errorf("core: server %d: superstep barrier: %w", n.ID(), cluster.ErrClosed)
 	}
 
 	// Checkpoint phase, inside the barrier bracket: the vote barrier
@@ -1337,14 +1423,14 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 	// skipped: the job is about to end, there is nothing to resume into.
 	if s.ckptEvery > 0 && updatedTotal != 0 && step+1 < s.maxSteps && (step+1)%s.ckptEvery == 0 {
 		if err := s.writeCheckpoint(step, &st); err != nil {
-			return st, 0, nil, false, err
+			return st, 0, err
 		}
 		d, berr := s.barrierVote(false)
 		if berr != nil {
-			return st, 0, nil, false, berr
+			return st, 0, berr
 		}
 		if d {
-			return st, 0, nil, false, fmt.Errorf("core: server %d: checkpoint barrier: %w", n.ID(), cluster.ErrClosed)
+			return st, 0, fmt.Errorf("core: server %d: checkpoint barrier: %w", n.ID(), cluster.ErrClosed)
 		}
 	}
 
@@ -1356,13 +1442,13 @@ func (s *server) runStep(step int, prevUpdated, updatedBuf []uint32, encOpts com
 		// evaluated identically everywhere, so either all servers enter
 		// the phase or none do.
 		if err := s.rebalanceStep(step, &st); err != nil {
-			return st, 0, nil, false, err
+			return st, 0, err
 		}
 		// Second barrier: no server starts the next superstep (and its
 		// update traffic) while tiles are still moving.
 		n.Barrier()
 	}
-	return st, updatedTotal, newUpdated, overLimit, nil
+	return st, updatedTotal, nil
 }
 
 // Update batches travel framed as [stepFrameMagic][step mod 256][comm
@@ -1504,11 +1590,12 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 // the tile's measured wall-clock cost (load + gather + apply + encode +
 // enqueue) — the signal the rebalancer's straggler detector consumes.
 type tileOut struct {
-	updates []comm.Update
-	enc     comm.Encoding
-	nanos   int64
-	skipped bool
-	err     error
+	updates  []comm.Update
+	enc      comm.Encoding
+	nanos    int64
+	gathered int64 // in-edges folded through Gather
+	skipped  bool
+	err      error
 }
 
 // receiveStep is the counted receive of one superstep: it consumes frames
@@ -1606,20 +1693,14 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 // All per-tile working memory — the update list, the decoded tile, the disk
 // read buffer and the wire buffer — is reused across supersteps, so in
 // steady state this path allocates nothing.
-func (s *server) processTile(k, step int, prevUpdated []uint32, encOpts comm.Options, scr *workerScratch) (out tileOut) {
+func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScratch) (out tileOut) {
 	start := time.Now()
 	defer func() { out.nanos = time.Since(start).Nanoseconds() }()
 	meta := s.metas[k]
 	g := s.graph
 	prog := s.prog
 
-	skip := false
-	if step > 0 && s.cfg.BloomSkip && meta.filter != nil {
-		// prevUpdated == nil means "too many to check": always load.
-		if prevUpdated != nil && !meta.filter.ContainsAny(prevUpdated) {
-			skip = true
-		}
-	}
+	skip := s.frontier.idle(meta)
 	updates := s.updBufs[k][:0]
 	if !skip {
 		t, err := s.loadTile(meta, scr)
@@ -1627,23 +1708,31 @@ func (s *server) processTile(k, step int, prevUpdated []uint32, encOpts comm.Opt
 			out.err = fmt.Errorf("core: server %d loading tile %d: %w", s.node.ID(), meta.id, err)
 			return out
 		}
-		for v := meta.lo; v < meta.hi; v++ {
-			srcs, vals := t.InEdges(v)
-			acc := prog.InitAccum()
-			if vals != nil {
-				for i, src := range srcs {
-					acc = prog.Gather(acc, src, s.state.get(src), float64(vals[i]), g)
+		if s.frontier.sparse() {
+			updates, out.gathered = s.gatherActive(t, updates)
+		} else {
+			// The dense sweep. gatherActive repeats this row body rather than
+			// sharing it through a call: this loop is PageRank's entire
+			// compute cost, and it stays free of per-row calls and branches.
+			for v := meta.lo; v < meta.hi; v++ {
+				srcs, vals := t.InEdges(v)
+				acc := prog.InitAccum()
+				if vals != nil {
+					for i, src := range srcs {
+						acc = prog.Gather(acc, src, s.state.get(src), float64(vals[i]), g)
+					}
+				} else {
+					for _, src := range srcs {
+						acc = prog.Gather(acc, src, s.state.get(src), 1, g)
+					}
 				}
-			} else {
-				for _, src := range srcs {
-					acc = prog.Gather(acc, src, s.state.get(src), 1, g)
+				old := s.state.get(v)
+				nv := prog.Apply(v, acc, old, g)
+				if nv != old {
+					updates = append(updates, comm.Update{ID: v, Value: nv})
 				}
 			}
-			old := s.state.get(v)
-			nv := prog.Apply(v, acc, old, g)
-			if nv != old {
-				updates = append(updates, comm.Update{ID: v, Value: nv})
-			}
+			out.gathered = int64(len(t.Col))
 		}
 	}
 	s.updBufs[k] = updates
@@ -1688,6 +1777,55 @@ func (s *server) processTile(k, step int, prevUpdated []uint32, encOpts comm.Opt
 		out.err = err
 	}
 	return out
+}
+
+// gatherActive is the sparse-superstep gather: instead of sweeping every row
+// of the tile it scans the source column flat against the frontier bitmap,
+// and for each hit runs the ordinary full gather + apply of the row the hit
+// belongs to — all of the row's in-edges, in tile order, exactly what the
+// dense sweep would compute for it — then jumps to the next row. Rows without
+// an active in-neighbour are never touched: by the Program contract they
+// would re-apply to their current value. Rows are visited in ascending order,
+// so the update list comes out in the same order as the dense sweep's. It
+// returns the extended update list and the number of edges gathered.
+func (s *server) gatherActive(t *csr.Tile, updates []comm.Update) ([]comm.Update, int64) {
+	g := s.graph
+	prog := s.prog
+	bits := s.frontier.bits
+	row, col := t.Row, t.Col
+	var gathered int64
+	r := 0 // row cursor: only ever moves forward
+	for i := 0; i < len(col); {
+		if src := col[i]; bits[src>>6]&(1<<(src&63)) == 0 {
+			i++
+			continue
+		}
+		for row[r+1] <= uint32(i) {
+			r++
+		}
+		lo, hi := row[r], row[r+1]
+		v := t.TargetLo + uint32(r)
+		srcs := col[lo:hi]
+		acc := prog.InitAccum()
+		if t.Val != nil {
+			vals := t.Val[lo:hi]
+			for j, src := range srcs {
+				acc = prog.Gather(acc, src, s.state.get(src), float64(vals[j]), g)
+			}
+		} else {
+			for _, src := range srcs {
+				acc = prog.Gather(acc, src, s.state.get(src), 1, g)
+			}
+		}
+		old := s.state.get(v)
+		nv := prog.Apply(v, acc, old, g)
+		if nv != old {
+			updates = append(updates, comm.Update{ID: v, Value: nv})
+		}
+		gathered += int64(hi - lo)
+		i = int(hi)
+	}
+	return updates, gathered
 }
 
 // collectResult assembles the final value vector on the coordinator. Under
@@ -2044,6 +2182,7 @@ func mergeSteps(res *Result, byServer [][]StepStats) {
 			dst.SparseMsgs += st.SparseMsgs
 			dst.SkippedTiles += st.SkippedTiles
 			dst.LoadedTiles += st.LoadedTiles
+			dst.GatheredEdges += st.GatheredEdges
 			dst.MigratedTiles += st.MigratedTiles // donor-side: one count per move
 			dst.MigrationBytes += st.MigrationBytes
 			if st.Duration > dst.Duration {

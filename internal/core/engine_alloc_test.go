@@ -6,6 +6,7 @@ package core
 // a small constant — not O(edges).
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,8 +33,8 @@ func (smoothProg) Apply(v uint32, acc, old float64, g *Graph) float64 {
 }
 
 // newWarmServer builds a single-node server over a small RMAT partition,
-// runs setup and two full warm-up sweeps, and returns it ready for
-// measurement along with its tile count.
+// runs setup and two full warm-up sweeps of smoothProg, and returns it ready
+// for measurement.
 func newWarmServer(t *testing.T, mutate func(*Config), pipelined bool) (*server, comm.Options, func()) {
 	t.Helper()
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 512, 4096, 9)
@@ -41,6 +42,31 @@ func newWarmServer(t *testing.T, mutate func(*Config), pipelined bool) (*server,
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv, encOpts, cleanup := newServerOn(t, p, smoothProg{}, mutate, pipelined)
+
+	// Two warm-up sweeps: the first populates (or fills) the cache and sizes
+	// every scratch buffer; the second settles pool state.
+	scr := sv.scratch[0]
+	for step := 0; step < 2; step++ {
+		for k := range sv.metas {
+			if out := sv.processTile(k, step, encOpts, scr); out.err != nil {
+				cleanup()
+				t.Fatal(out.err)
+			}
+			for _, u := range sv.updBufs[k] {
+				sv.state.set(u.ID, u.Value)
+			}
+		}
+	}
+	return sv, encOpts, cleanup
+}
+
+// newServerOn builds a single-node, single-worker server over p with prog
+// installed as the running job's program: setup done, vertex state
+// initialised, nothing swept yet. The white-box tests drive it through
+// processTile or runStep directly.
+func newServerOn(t testing.TB, p *tile.Partition, prog Program, mutate func(*Config), pipelined bool) (*server, comm.Options, func()) {
+	t.Helper()
 	cfg := DefaultConfig(1)
 	cfg.WorkersPerServer = 1
 	cfg.WorkDir = t.TempDir()
@@ -67,15 +93,18 @@ func newWarmServer(t *testing.T, mutate func(*Config), pipelined bool) (*server,
 		Servers: make([]ServerStats, 1),
 	}
 	sv := &server{
-		cfg:    cfg,
-		node:   cl.Node(0),
-		graph:  g,
-		fetch:  fetch,
-		tiles:  assign.TilesOf[0],
-		total:  numTiles,
-		prog:   smoothProg{},
-		work:   cfg.WorkDir,
-		result: res,
+		cfg:      cfg,
+		node:     cl.Node(0),
+		graph:    g,
+		fetch:    fetch,
+		tiles:    assign.TilesOf[0],
+		total:    numTiles,
+		prog:     prog,
+		ctx:      context.Background(),
+		maxSteps: cfg.MaxSupersteps,
+		work:     cfg.WorkDir,
+		result:   res,
+		shared:   new(nodeShared),
 	}
 	if err := sv.setup(); err != nil {
 		cl.Close()
@@ -90,21 +119,6 @@ func newWarmServer(t *testing.T, mutate func(*Config), pipelined bool) (*server,
 		sv.sender = cl.Node(0).NewSender(cfg.SendQueueCap)
 	}
 	encOpts := comm.Options{Choice: cfg.Comm, Codec: cfg.MsgCodec}
-
-	// Two warm-up sweeps: the first populates (or fills) the cache and sizes
-	// every scratch buffer; the second settles pool state.
-	scr := sv.scratch[0]
-	for step := 0; step < 2; step++ {
-		for k := range sv.metas {
-			if out := sv.processTile(k, step, nil, encOpts, scr); out.err != nil {
-				cl.Close()
-				t.Fatal(out.err)
-			}
-			for _, u := range sv.updBufs[k] {
-				sv.state.set(u.ID, u.Value)
-			}
-		}
-	}
 	return sv, encOpts, func() { cl.Close() }
 }
 
@@ -116,7 +130,7 @@ func measureSweepAllocs(t *testing.T, sv *server, encOpts comm.Options) float64 
 	step := 2
 	return testing.AllocsPerRun(10, func() {
 		for k := range sv.metas {
-			if out := sv.processTile(k, step, nil, encOpts, scr); out.err != nil {
+			if out := sv.processTile(k, step, encOpts, scr); out.err != nil {
 				t.Fatal(out.err)
 			}
 			for _, u := range sv.updBufs[k] {
@@ -191,10 +205,10 @@ func TestPrefetchSteadyStateAllocs(t *testing.T) {
 	scr := sv.scratch[0]
 	step := 2
 	sweep := func() {
-		sv.pf.restart(sv.metas, nil, step, sv.cfg.BloomSkip)
+		sv.pf.restart(sv.metas, &sv.frontier)
 		for k := range sv.metas {
 			sv.pf.reach(k + sv.pfDepth)
-			if out := sv.processTile(k, step, nil, encOpts, scr); out.err != nil {
+			if out := sv.processTile(k, step, encOpts, scr); out.err != nil {
 				t.Fatal(out.err)
 			}
 			for _, u := range sv.updBufs[k] {

@@ -43,14 +43,12 @@ type prefetcher struct {
 	cond *sync.Cond // signalled when a batch completes
 
 	// Current sweep parameters (set by restart, read by reach): the tile
-	// order, the Bloom-skip predicate inputs — mirrored from processTile so
-	// the prefetcher never reads a tile the sweep will skip — and whether
-	// residents should be skipped (cached residency only).
-	metas       []*tileMeta
-	prevUpdated []uint32
-	step        int
-	bloomSkip   bool
-	useCache    bool
+	// order, the runner's frontier — whose idle predicate processTile also
+	// applies, so the prefetcher never reads a tile the sweep will skip —
+	// and whether residents should be skipped (cached residency only).
+	metas    []*tileMeta
+	frontier *frontier
+	useCache bool
 
 	slots     []*pfSlot // by tile id; nil = not staged
 	freeSlots []*pfSlot
@@ -121,8 +119,8 @@ func newPrefetcher(store *disk.Store, c *cache.Cache, total, depth int, useCache
 // issued, so they cost nothing), in-flight batches are drained, and staged
 // tiles the previous sweep never claimed are flushed as wasted. The sweep
 // parameters are plain values, not a closure, so restarting allocates
-// nothing.
-func (p *prefetcher) restart(metas []*tileMeta, prevUpdated []uint32, step int, bloomSkip bool) {
+// nothing. fr must not be written while the sweep runs.
+func (p *prefetcher) restart(metas []*tileMeta, fr *frontier) {
 	p.mu.Lock()
 	for _, sl := range p.pending {
 		p.slots[sl.id] = nil
@@ -139,14 +137,14 @@ func (p *prefetcher) restart(metas []*tileMeta, prevUpdated []uint32, step int, 
 			p.recycleSlotLocked(sl)
 		}
 	}
-	p.metas, p.prevUpdated, p.step, p.bloomSkip = metas, prevUpdated, step, bloomSkip
+	p.metas, p.frontier = metas, fr
 	p.next = 0
 	p.mu.Unlock()
 }
 
 // reach tells the prefetcher the sweep will soon need metas[upto]: every
 // tile up to that position that the sweep will actually load (not
-// Bloom-skipped, not cache-resident, not already staged) becomes a pending
+// idle-skipped, not cache-resident, not already staged) becomes a pending
 // selection, and full batches are issued as long as the IO-depth budget
 // allows. Never blocks on I/O.
 func (p *prefetcher) reach(upto int) {
@@ -157,7 +155,7 @@ func (p *prefetcher) reach(upto int) {
 	for p.next <= upto {
 		m := p.metas[p.next]
 		p.next++
-		if p.step > 0 && p.bloomSkip && m.filter != nil && p.prevUpdated != nil && !m.filter.ContainsAny(p.prevUpdated) {
+		if p.frontier.idle(m) {
 			continue // the sweep will skip it too
 		}
 		if p.slots[m.id] != nil {
@@ -286,7 +284,7 @@ func (p *prefetcher) complete(rop *disk.ReadOp) {
 // every unclaimed slot is flushed. Stats survive — they are
 // session-cumulative, like the disk and cache counters.
 func (p *prefetcher) drain() {
-	p.restart(nil, nil, 0, false)
+	p.restart(nil, nil)
 }
 
 // close drains and stops the reader workers.

@@ -25,8 +25,11 @@
 // step-(k−1) values and results are bit-identical to a serial run. The
 // loop also notifies the edge cache at every superstep boundary
 // (cache.AdvanceEpoch) — the clock that drives the superstep-aware CLOCK
-// eviction policy of §IV-B. Steady-state supersteps allocate nothing on
-// the tile path (pinned by TestProcessTileSteadyStateAllocs).
+// eviction policy of §IV-B. Sparse supersteps are frontier-driven
+// (frontier.go): tiles none of whose sources changed are skipped, and loaded
+// tiles re-gather only the rows with a changed in-neighbour. Steady-state
+// supersteps allocate nothing (pinned by TestProcessTileSteadyStateAllocs
+// and TestRunStepSteadyStateAllocs).
 package core
 
 import "math"
@@ -47,6 +50,24 @@ type Graph struct {
 //
 // Implementations must be pure functions of their arguments: the engine
 // invokes them concurrently from many workers on many simulated servers.
+//
+// Idempotence contract. With tile skipping on (the default; §III-C-4), the
+// engine does not re-run a vertex whose in-neighbours all kept their value
+// in the previous superstep — neither when it skips the vertex's whole tile
+// nor when it gathers a loaded tile selectively — and leaves its value as it
+// is. A program must therefore satisfy, for every vertex v and accumulator
+// acc built from unchanged inputs,
+//
+//	Apply(v, acc, Apply(v, acc, old)) == Apply(v, acc, old)
+//
+// i.e. re-applying the same gathered information to the value it already
+// produced changes nothing. Every update rule that is a function of acc
+// alone (PageRank) or a monotone merge of acc into old (min for
+// SSSP/BFS/WCC, a tolerance clamp around a function of acc) qualifies. A
+// rule that keeps integrating old — old*0.5 + acc, a counter — does not, and
+// must run with skipping disabled (Config.BloomSkip = false,
+// Options.DisableBloomSkip), which sweeps every row of every tile each
+// superstep.
 type Program interface {
 	// Name identifies the program in experiment output.
 	Name() string

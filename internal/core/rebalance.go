@@ -303,11 +303,11 @@ func (s *server) dropTile(k int) error {
 }
 
 // admitTile installs a migrated tile on this server: the blob is persisted
-// to the local store and the tile metadata (target range, Bloom filter,
-// size) is rebuilt from a validating decode, mirroring setup's ingest. The
-// edge cache is not force-fed — the first post-migration access admits the
-// tile through the ordinary GetOrLoadInto path, under whatever policy and
-// capacity pressure the cache is running.
+// to the local store and the tile metadata (target and source ranges, Bloom
+// filter, size) is rebuilt from a validating decode, mirroring setup's
+// ingest. The edge cache is not force-fed — the first post-migration access
+// admits the tile through the ordinary GetOrLoadInto path, under whatever
+// policy and capacity pressure the cache is running.
 func (s *server) admitTile(id int, body []byte) error {
 	if s.metaIndex(id) >= 0 {
 		return fmt.Errorf("core: server %d received migrated tile %d it already owns", s.node.ID(), id)
@@ -321,15 +321,13 @@ func (s *server) admitTile(id int, body []byte) error {
 	if int(tl.ID) != id {
 		return fmt.Errorf("core: server %d: migrated blob says tile %d, envelope says %d", s.node.ID(), tl.ID, id)
 	}
-	blob := tileBlobName(id)
-	if err := s.store.Write(blob, body); err != nil {
+	// Atomic replace: in a multi-tenant session a sibling job's runner may be
+	// reading this very blob name (loadTile runs outside recoverMu), and a
+	// truncate-then-write would hand it a short or empty file.
+	if err := s.store.WriteAtomic(tileBlobName(id), body); err != nil {
 		return fmt.Errorf("core: server %d persisting migrated tile %d: %w", s.node.ID(), id, err)
 	}
-	meta := &tileMeta{id: id, blob: blob, lo: tl.TargetLo, hi: tl.TargetHi, encBytes: int64(len(body))}
-	if tl.Filter != nil {
-		meta.filter = tl.Filter
-		s.bloomBytes += int64(tl.Filter.SizeBytes())
-	}
+	meta := s.newTileMeta(id, &tl, len(body))
 	k := sort.Search(len(s.metas), func(i int) bool { return s.metas[i].id >= id })
 	s.metas = append(s.metas, nil)
 	copy(s.metas[k+1:], s.metas[k:])

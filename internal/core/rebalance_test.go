@@ -7,10 +7,12 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/costmodel"
+	"repro/internal/csr"
 )
 
 func TestStatsMsgRoundTrip(t *testing.T) {
@@ -218,4 +220,64 @@ func TestAdmitDropTile(t *testing.T) {
 			t.Fatalf("metas out of order at %d: %d >= %d", i, sv.metas[i-1].id, sv.metas[i].id)
 		}
 	}
+}
+
+// TestAdmitTileNeverTearsBlob is the regression test for the torn tile
+// write: in a multi-tenant session one job's recovery re-admits a tile —
+// rewriting the blob under its existing name — while a sibling job's runner
+// loads the same name. The readers hammer ReadInto + decode throughout and
+// must only ever see the whole blob; with a truncate-then-write persist
+// they caught it empty or half written ("csr: encoded tile too short").
+func TestAdmitTileNeverTearsBlob(t *testing.T) {
+	sv, _, cleanup := newWarmServer(t, func(c *Config) { c.CacheMode = compress.None }, false)
+	defer cleanup()
+	sv.multi = true // runner semantics: dropTile keeps the shared blob
+	const k = 1
+	meta := sv.metas[k]
+	blob, err := sv.store.Read(meta.blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var buf []byte
+			var tl csr.Tile
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				data, err := sv.store.ReadInto(meta.blob, buf[:0])
+				if err != nil {
+					t.Errorf("read during re-admission: %v", err)
+					return
+				}
+				buf = data
+				if len(data) != len(blob) {
+					t.Errorf("read %d of %d bytes during re-admission", len(data), len(blob))
+					return
+				}
+				if err := csr.DecodeInto(&tl, data); err != nil {
+					t.Errorf("decode during re-admission: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		if err := sv.dropTile(k); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.admitTile(meta.id, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
 }

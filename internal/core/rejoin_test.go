@@ -132,7 +132,32 @@ func TestMultiJobRejoin(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer se.Close()
-			results, errs := submitConcurrently(t, se, progs, make([]JobOptions, len(progs)))
+			// Only the runner that fires the rejoin parks for it; the other
+			// job keeps stepping and, six ≈ 100 µs steps long, could finish
+			// before the admission lands (a legitimate outcome that lists
+			// server 1 as dead). Hold each job at its first progress report
+			// from superstep 3 on until the other has made one too: the
+			// firing job completes step 3 only after the admission, so
+			// neither job can end on the shrunk membership. (Not "== 3": a
+			// recovery that restores step 3's own checkpoint resumes at step
+			// 4 without ever reporting step 3.)
+			reached := []chan struct{}{make(chan struct{}), make(chan struct{})}
+			opts := make([]JobOptions, len(progs))
+			for i := range opts {
+				var once sync.Once
+				opts[i].Progress = func(st StepStats) {
+					if st.Superstep < 3 {
+						return
+					}
+					once.Do(func() { close(reached[i]) })
+					select {
+					case <-reached[1-i]:
+					case <-time.After(10 * time.Second):
+						t.Errorf("job %d never saw job %d reach superstep 3", i, 1-i)
+					}
+				}
+			}
+			results, errs := submitConcurrently(t, se, progs, opts)
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("%s: %v", progs[i].Name(), err)

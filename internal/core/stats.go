@@ -25,10 +25,16 @@ type StepStats struct {
 	// DenseMsgs and SparseMsgs count update batches by wire encoding.
 	DenseMsgs  int `json:"dense_msgs"`
 	SparseMsgs int `json:"sparse_msgs"`
-	// SkippedTiles counts tiles pruned by the Bloom-filter check.
+	// SkippedTiles counts tiles pruned without being loaded because none of
+	// their sources changed in the previous step (the source-range test on
+	// the active set, refined by the tile's Bloom filter).
 	SkippedTiles int `json:"skipped_tiles"`
 	// LoadedTiles counts tiles actually processed.
 	LoadedTiles int `json:"loaded_tiles"`
+	// GatheredEdges counts the in-edges folded through Gather: every edge
+	// of every loaded tile on a dense step, only the in-edges of targets
+	// with an updated in-neighbour on a sparse one.
+	GatheredEdges int64 `json:"gathered_edges"`
 	// MigratedTiles counts tiles the rebalancer moved at this step's
 	// boundary (each move counted once, on the donor); MigrationBytes is
 	// the encoded tile volume those moves shipped.

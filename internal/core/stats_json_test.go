@@ -37,9 +37,9 @@ func jsonKeys(t *testing.T, v any) []string {
 
 func TestStepStatsJSONSchema(t *testing.T) {
 	want := []string{
-		"checkpoint_ns", "dense_msgs", "duration_ns", "loaded_tiles",
-		"migrated_tiles", "migration_bytes", "raw_bytes", "rebalance_ns",
-		"skipped_tiles", "sparse_msgs", "superstep", "updated", "wire_bytes",
+		"checkpoint_ns", "dense_msgs", "duration_ns", "gathered_edges",
+		"loaded_tiles", "migrated_tiles", "migration_bytes", "raw_bytes",
+		"rebalance_ns", "skipped_tiles", "sparse_msgs", "superstep", "updated", "wire_bytes",
 	}
 	if got := jsonKeys(t, StepStats{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("StepStats wire schema drifted:\n got %v\nwant %v", got, want)
@@ -81,7 +81,7 @@ func TestServerStatsJSONSchema(t *testing.T) {
 func TestStatsJSONRoundTrip(t *testing.T) {
 	step := StepStats{
 		Superstep: 7, Updated: 1234, WireBytes: 1 << 30, RawBytes: 1 << 31,
-		DenseMsgs: 3, SparseMsgs: 4, SkippedTiles: 5, LoadedTiles: 6,
+		DenseMsgs: 3, SparseMsgs: 4, SkippedTiles: 5, LoadedTiles: 6, GatheredEdges: 1 << 33,
 		MigratedTiles: 2, MigrationBytes: 99, Duration: 250 * time.Millisecond,
 		Rebalance: time.Millisecond, Checkpoint: 3 * time.Microsecond,
 	}

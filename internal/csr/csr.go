@@ -87,6 +87,16 @@ func (t *Tile) InEdges(v uint32) (sources []uint32, values []float32) {
 	return sources, values
 }
 
+// SourceRange returns the smallest and largest source vertex id among the
+// tile's edges — the window of the vertex-id space a change must fall in to
+// reach any of the tile's targets. An edgeless tile returns lo > hi.
+func (t *Tile) SourceRange() (lo, hi uint32) {
+	if len(t.Col) == 0 {
+		return 1, 0
+	}
+	return slices.Min(t.Col), slices.Max(t.Col)
+}
+
 // SizeBytes returns the in-memory footprint of the tile arrays, the quantity
 // the edge cache budgets against (§IV-B).
 func (t *Tile) SizeBytes() int64 {
