@@ -33,8 +33,7 @@ race:
 # check is the default gate: tier-1 plus race, the chaos suite, a short fuzz
 # budget, the documentation and API gates, the perf smoke pass, the
 # regression-benchmark harness, the daemon smoke test and, last because it
-# still has a known failure (see flake), the chaos suite's repeat-run flake
-# hunt.
+# is the longest, the chaos suite's repeat-run flake hunt.
 check: ci race chaos fuzz-ci docs-check api-check bench-smoke bench-check smoke-daemon flake
 
 # smoke-daemon builds the real graphhd binary, serves a generated dataset on
@@ -49,26 +48,25 @@ smoke-daemon:
 # chaos runs the fault-injection and crash-recovery suite under the race
 # detector: the crash-at-every-superstep sweep (serial and with two
 # concurrent jobs in flight), the kill-then-rejoin elastic-membership
-# sweep, hang detection, wire drop/duplicate tolerance, session death
+# sweep, the multi-tenant join's admission pause, hang detection, wire drop/duplicate tolerance, session death
 # semantics and the disk failure hooks. Every test asserts recovered
 # results are bit-identical to the fault-free run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Recovery|Fault|Wire|Kill|Checkpoint|SessionRecovers|SessionDead|AllServersDie|Rejoin|JoinBetweenJobs|JoinValidation|JobBarrierNoLeak' \
+		-run 'Recovery|Fault|Wire|Kill|Checkpoint|SessionRecovers|SessionDead|AllServersDie|Rejoin|JoinBetweenJobs|JoinValidation|JoinPausesAdmission|CloseWithJoinPending|JobBarrierNoLeak' \
 		./internal/core/ ./internal/disk/ .
 
-# flake repeats the two chaos tests that used to fail about one run in two —
-# a sibling runner loading a tile blob while recovery re-admitted it with a
-# truncate-then-write ("csr: encoded tile too short (0 bytes)") — twenty
-# times each, without and with the race detector (the schedules differ).
-# That failure is gone; what is left is a membership race in
-# TestMultiJobRejoin at ≈ 1.7 % a run ("job barrier: transport closed",
-# "no tcp connection X->Y"; ROADMAP item 0 has the diagnosis), so expect this
-# target to fail about one time in two until that lands. Any other message —
-# a short or torn tile read above all — is a regression.
+# flake repeats the multi-job chaos tests a hundred times each, without and
+# with the race detector (the schedules differ): the crash sweep and the
+# between-jobs rejoin with two jobs in flight, the session-killing disk
+# fault, and the shared-sweep tile loads. Each once failed a run in tens to
+# hundreds — a torn tile read, a second runner voting in a rejoined rank's
+# barrier slot, jobs that never overlapped — so any failure is a regression.
+FLAKE_TESTS = TestMultiJobCrashRecoverySweep|TestMultiJobRejoin|TestMultiJobSessionDead|TestMultiJobSharedLoads
+
 flake:
-	$(GO) test -count=20 -run 'TestMultiJobCrashRecoverySweep|TestMultiJobRejoin' ./internal/core/
-	$(GO) test -race -count=20 -run 'TestMultiJobCrashRecoverySweep|TestMultiJobRejoin' ./internal/core/
+	$(GO) test -count=100 -run '$(FLAKE_TESTS)' ./internal/core/
+	$(GO) test -race -count=100 -run '$(FLAKE_TESTS)' ./internal/core/
 
 # bench-check covers the regression benchmark, which tier-1 cannot see:
 # benchmark/ is a module of its own (`go test ./...` skips it) that imports

@@ -538,15 +538,24 @@ func (s *Session) Submit(ctx context.Context, prog Program, ro RunOptions) (*Res
 	})
 }
 
-// Join readmits a dead server into the live session (elastic membership):
-// the joiner handshakes over the cluster's control plane, is admitted at a
-// superstep edge, and is folded back in through the recovery protocol —
-// streamed the newest consistent checkpoint by a donor when a job is in
-// flight, or simply reclaiming its persisted base tiles when the session is
-// idle. Join returns once the server is a live member again; joining a
-// live rank is a no-op. Mid-job admission requires checkpointing
+// Join readmits a dead server into the live session (elastic membership).
+// Join returns once the server is a live member again; joining a live rank
+// is a no-op.
+//
+// In a serial session the joiner handshakes over the cluster's control
+// plane, is admitted at a superstep edge, and is folded back in through the
+// recovery protocol — streamed the newest consistent checkpoint by a donor
+// when a job is in flight, or simply reclaiming its persisted base tiles
+// when the session is idle. Mid-job admission requires checkpointing
 // (Options.CheckpointEvery) and All-in-All replication. Cancelling ctx
 // abandons the handshake.
+//
+// A multi-tenant session (Options.MaxConcurrentJobs > 1) admits the server
+// only between jobs: Join pauses job admission, the jobs in flight finish
+// without the server (listing it in Result.DeadServers), and it serves from
+// the next job on. The wait lasts as long as the longest job in flight and
+// ends early only when ctx is cancelled or the session is closed; admission
+// resumes either way.
 func (s *Session) Join(ctx context.Context, server int) error { return s.s.Join(ctx, server) }
 
 // Close tears the session down: job loops exit, the cluster closes, and

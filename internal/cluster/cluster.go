@@ -53,6 +53,12 @@ var ErrMembershipChanged = errors.New("cluster: membership changed")
 // which peers still owe it traffic — decides whether to declare them dead.
 var ErrRecvStall = errors.New("cluster: receive stalled past failure-detection timeout")
 
+// ErrDuplicateVote is returned by a barrier when one rank arrives twice in
+// the same generation — two runners voting in one rank's slot. The barrier
+// refuses the second arrival instead of counting the rank twice; the error
+// names the rank and the membership epoch.
+var ErrDuplicateVote = errors.New("cluster: duplicate barrier vote")
+
 // errCancelled is returned by the transports' recv when the caller's cancel
 // channel fires before a message arrives. It never escapes the package:
 // the ctx-aware Node methods translate it to the context's own error.
@@ -1004,21 +1010,15 @@ func (n *Node) BarrierErr() error {
 // returns ErrMembershipChanged. A broken (aborted) barrier still returns
 // (true, nil), mirroring BarrierVote.
 func (n *Node) BarrierVoteErr(flag bool) (bool, error) {
-	return n.barrierVoteOn(n.c.bar, flag)
+	return n.barrierVoteOnAcked(n.c.bar, flag, n.c.acked[n.id].Load())
 }
 
-// barrierVoteOn runs the vote-with-failure-detection loop against one
+// barrierVoteOnAcked runs the vote-with-failure-detection loop against one
 // barrier — the main barrier or a per-job one; the accusation protocol is
-// identical for both.
-func (n *Node) barrierVoteOn(b *reusableBarrier, flag bool) (bool, error) {
-	return n.barrierVoteOnAcked(b, flag, n.c.acked[n.id].Load())
-}
-
-// barrierVoteOnAcked is barrierVoteOn with the caller supplying its
-// acknowledged epoch. Multi-tenant job runners track their own epoch (the
-// node-level ack is shared with sibling runners, whose recovery must not
-// mask a membership change from this one); the classic paths pass the
-// node-level value.
+// identical for both. The caller supplies its acknowledged epoch:
+// multi-tenant job runners track their own (the node-level ack is shared
+// with sibling runners, whose recovery must not mask a membership change
+// from this one); the classic paths pass the node-level value.
 func (n *Node) barrierVoteOnAcked(b *reusableBarrier, flag bool, acked uint64) (bool, error) {
 	for {
 		d, suspects, err := b.waitVote(n.id, flag, acked, n.c.cfg.FailureTimeout)
@@ -1035,23 +1035,13 @@ func (n *Node) barrierVoteOnAcked(b *reusableBarrier, flag bool, acked uint64) (
 	}
 }
 
-// JobBarrierVoteErr is BarrierVoteErr against the per-job barrier for job:
-// only nodes synchronizing that job participate, so two interleaved jobs'
-// step edges can never block each other or OR their halt votes together.
-func (n *Node) JobBarrierVoteErr(job uint32, flag bool) (bool, error) {
-	return n.barrierVoteOn(n.c.jobBarrier(job), flag)
-}
-
-// JobBarrierErr is BarrierErr against the per-job barrier for job.
-func (n *Node) JobBarrierErr(job uint32) error {
-	_, err := n.JobBarrierVoteErr(job, false)
-	return err
-}
-
-// JobBarrierVoteEpoch is JobBarrierVoteErr for callers tracking their own
-// acknowledged membership epoch (see barrierVoteOnAcked): a runner whose
-// epoch lags the cluster's fails with ErrMembershipChanged even when a
-// sibling runner on the same node has already acknowledged the change.
+// JobBarrierVoteEpoch is BarrierVoteErr against the per-job barrier for
+// job: only nodes synchronizing that job participate, so two interleaved
+// jobs' step edges can never block each other or OR their halt votes
+// together. The caller supplies its own acknowledged membership epoch (see
+// barrierVoteOnAcked): a runner whose epoch lags the cluster's fails with
+// ErrMembershipChanged even when a sibling runner on the same node has
+// already acknowledged the change.
 func (n *Node) JobBarrierVoteEpoch(job uint32, flag bool, acked uint64) (bool, error) {
 	return n.barrierVoteOnAcked(n.c.jobBarrier(job), flag, acked)
 }
@@ -1184,11 +1174,12 @@ func newReusableBarrier(n int) *reusableBarrier {
 // immediately: an aborting cluster must look like a unanimous abort vote to
 // anyone still running. acked is the caller's acknowledged membership
 // epoch; if it lags the barrier's — or lags it by the time the wait ends —
-// the call fails with ErrMembershipChanged. With a positive timeout, a
-// waiter that sees no completion for that long wakes; the lowest-ranked
-// arrived live member returns the non-arrived live members as suspects
-// with ErrRecvStall (the caller deposes them), everyone else re-arms and
-// keeps waiting.
+// the call fails with ErrMembershipChanged. A second arrival by a rank
+// already counted in the filling generation fails with ErrDuplicateVote. With
+// a positive timeout, a waiter that sees no completion for that long wakes;
+// the lowest-ranked arrived live member returns the non-arrived live members
+// as suspects with ErrRecvStall (the caller deposes them, which resets the
+// generation before it re-enters), everyone else re-arms and keeps waiting.
 func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time.Duration) (decision bool, suspects []int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1197,6 +1188,9 @@ func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time
 	}
 	if acked != b.epoch || !b.alive[id] {
 		return false, nil, ErrMembershipChanged
+	}
+	if b.arrived[id] {
+		return false, nil, fmt.Errorf("%w: rank %d, epoch %d", ErrDuplicateVote, id, b.epoch)
 	}
 	gen := b.gen
 	epoch := b.epoch

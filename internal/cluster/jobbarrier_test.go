@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func TestJobBarrierIndependence(t *testing.T) {
 			defer wg.Done()
 			n := c.Node(i)
 			for g := 0; g < 50; g++ {
-				if _, err := n.JobBarrierVoteErr(1, false); err != nil {
+				if _, err := n.JobBarrierVoteEpoch(1, false, 0); err != nil {
 					t.Errorf("job 1 node %d: %v", i, err)
 					return
 				}
@@ -40,13 +41,13 @@ func TestJobBarrierIndependence(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-release
-		if _, err := c.Node(1).JobBarrierVoteErr(2, false); err != nil {
+		if _, err := c.Node(1).JobBarrierVoteEpoch(2, false, 0); err != nil {
 			t.Errorf("job 2 node 1: %v", err)
 		}
 	}()
 	done2 := make(chan struct{})
 	go func() {
-		c.Node(0).JobBarrierVoteErr(2, false)
+		c.Node(0).JobBarrierVoteEpoch(2, false, 0)
 		close(done2)
 	}()
 
@@ -90,7 +91,7 @@ func TestJobBarrierVoteIsolation(t *testing.T) {
 			go func(i int, job uint32) {
 				defer wg.Done()
 				// Job 1 nodes vote true; job 2 nodes vote false.
-				d, err := c.Node(i).JobBarrierVoteErr(job, job == 1)
+				d, err := c.Node(i).JobBarrierVoteEpoch(job, job == 1, 0)
 				if err != nil {
 					t.Errorf("job %d node %d: %v", job, i, err)
 					return
@@ -120,7 +121,7 @@ func TestJobBarrierDeposedOnDeath(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Node(0).JobBarrierVoteErr(7, false)
+		_, err := c.Node(0).JobBarrierVoteEpoch(7, false, 0)
 		errc <- err
 	}()
 	// Let node 0 park, then kill node 2.
@@ -137,14 +138,14 @@ func TestJobBarrierDeposedOnDeath(t *testing.T) {
 
 	// Survivors re-ack and a NEW job's barrier completes with just the two
 	// of them.
-	c.Node(0).AckMembership()
+	epoch, _ := c.Node(0).AckMembership()
 	c.Node(1).AckMembership()
 	var wg sync.WaitGroup
 	for _, i := range []int{0, 1} {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.Node(i).JobBarrierVoteErr(8, false); err != nil {
+			if _, err := c.Node(i).JobBarrierVoteEpoch(8, false, epoch); err != nil {
 				t.Errorf("node %d post-death: %v", i, err)
 			}
 		}(i)
@@ -168,7 +169,7 @@ func TestJobBarrierBrokenByAbort(t *testing.T) {
 
 	done := make(chan bool, 1)
 	go func() {
-		d, _ := c.Node(0).JobBarrierVoteErr(3, false)
+		d, _ := c.Node(0).JobBarrierVoteEpoch(3, false, 0)
 		done <- d
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -182,7 +183,118 @@ func TestJobBarrierBrokenByAbort(t *testing.T) {
 		t.Fatal("abort did not release job-barrier waiter")
 	}
 	// Born-broken: a fresh job's barrier returns immediately.
-	if d, err := c.Node(0).JobBarrierVoteErr(4, false); err != nil || !d {
+	if d, err := c.Node(0).JobBarrierVoteEpoch(4, false, 0); err != nil || !d {
 		t.Fatalf("post-abort barrier: d=%v err=%v, want true,nil", d, err)
+	}
+}
+
+// TestBarrierDuplicateVote: a rank that arrives twice in one generation — two
+// runners voting in one rank's slot — is refused with ErrDuplicateVote
+// instead of being counted twice, and the generation still completes once
+// the missing rank arrives.
+func TestBarrierDuplicateVote(t *testing.T) {
+	c, err := New(Config{NumNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Node(0).JobBarrierVoteEpoch(5, false, 0)
+		first <- err
+	}()
+	// Second arrival of rank 0 in the same generation: wait until the first
+	// one is counted, then vote again from another goroutine.
+	b := c.jobBarrier(5)
+	waitArrived(t, b, 0)
+	_, err = c.Node(0).JobBarrierVoteEpoch(5, true, 0)
+	if !errors.Is(err, ErrDuplicateVote) {
+		t.Fatalf("second arrival of rank 0: err = %v, want ErrDuplicateVote", err)
+	}
+	if want := "rank 0, epoch 0"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("duplicate-vote error %q does not name %q", err, want)
+	}
+	// The refused vote left no trace: ranks 1 and 2 complete the generation
+	// with the original, all-false votes.
+	var wg sync.WaitGroup
+	for _, i := range []int{1, 2} {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if d, err := c.Node(i).JobBarrierVoteEpoch(5, false, 0); err != nil || d {
+				t.Errorf("node %d: d=%v err=%v, want false,nil", i, d, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := <-first; err != nil {
+		t.Fatalf("first arrival of rank 0: %v", err)
+	}
+}
+
+// TestBarrierAccuserReentry: the accuser that deposes a silent rank re-enters
+// the barrier it already arrived at. Deposal resets the generation, so the
+// re-entry is an ordinary ErrMembershipChanged, never a duplicate vote, and
+// the survivors then synchronize at the new epoch.
+func TestBarrierAccuserReentry(t *testing.T) {
+	c, err := New(Config{NumNodes: 3, FailureTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	errs := make(chan error, 2)
+	for _, i := range []int{0, 1} {
+		go func(i int) {
+			_, err := c.Node(i).JobBarrierVoteEpoch(6, false, 0)
+			errs <- err
+		}(i)
+	}
+	// Rank 2 never arrives: rank 0 (the lowest arrived) accuses it, deposes
+	// it and re-enters; both waiters unwind with the membership change.
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrMembershipChanged) {
+				t.Fatalf("waiter: err = %v, want ErrMembershipChanged", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("silent rank never accused")
+		}
+	}
+	if c.Alive(2) {
+		t.Fatal("silent rank 2 still a member")
+	}
+	epoch, _ := c.Node(0).AckMembership()
+	c.Node(1).AckMembership()
+	var wg sync.WaitGroup
+	for _, i := range []int{0, 1} {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := c.Node(i).JobBarrierVoteEpoch(6, false, epoch); err != nil {
+				t.Errorf("node %d after deposal: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// waitArrived polls until rank is counted in b's filling generation.
+func waitArrived(t *testing.T, b *reusableBarrier, rank int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		ok := b.arrived[rank]
+		b.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d never arrived", rank)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -420,20 +420,6 @@ type nodeShared struct {
 	zMu     sync.Mutex
 	zombies map[*job]bool
 
-	// joinBlock counts in-flight jobs that cannot absorb a membership grow
-	// (no checkpointing, or not All-in-All): while it is non-zero, join
-	// requests stay queued instead of being admitted. The counter is
-	// session-wide; every nodeShared aliases the same value. Lock-free reads
-	// of it are fast-path only — the authoritative check happens inside
-	// admit, under the session's job-registry lock.
-	joinBlock *atomic.Int32
-
-	// admit performs the runner-side join admission (Session.admitJoin):
-	// DeclareJoined under the job registry's lock, so an admission either
-	// lands before a racing Submit publishes its job or observes the job's
-	// raised joinBlock and defers. Session-wide, like joinBlock.
-	admit func(rank int) bool
-
 	// joins counts this node's readmissions (elastic membership), a
 	// session-lifetime counter like the I/O totals. It lives here rather
 	// than on the server because in a multi-tenant session the per-job
@@ -454,8 +440,9 @@ type nodeShared struct {
 	qZero  chan struct{}
 
 	// Multi-tenant plumbing, nil in serial sessions. The router pointer is
-	// atomic because a rejoined node gets a fresh router (the old one's done
-	// channel is permanently closed) while zombie runners may still read it.
+	// atomic because the join controller swaps a fresh router into a
+	// rejoined node (the old one's done channel is permanently closed) from
+	// its own goroutine.
 	gate      *stepGate                   // WRR turnstile at superstep edges
 	share     *cache.ShareWindow          // cross-job tile sharing
 	router    atomic.Pointer[frameRouter] // inbox demultiplexer
@@ -1263,12 +1250,14 @@ func (c *stepCrew) stop() {
 func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal int, err error) {
 	n := s.node
 	st = StepStats{Superstep: step}
-	// Step edge: fire any scripted rejoin pinned to this step (parking here
-	// until its handshake resolves — a short job would otherwise finish
-	// before the admission lands), then poll the control plane for join
-	// requests — admission happens here, before any of this step's traffic,
-	// so a grown membership is observed by every live server at the same
-	// step boundary (via the recovery protocol the epoch bump provokes).
+	// Step edge: fire any scripted rejoin pinned to this step, then poll the
+	// control plane for join requests. A serial runner parks here until the
+	// handshake resolves (a short job would otherwise finish before the
+	// admission lands), and admission happens here, before any of this
+	// step's traffic, so a grown membership is observed by every live server
+	// at the same step boundary (via the recovery protocol the epoch bump
+	// provokes). A multi-tenant runner does neither: its join lands between
+	// jobs.
 	for _, done := range s.faults.fireRejoins(step) {
 		s.awaitRejoin(done)
 	}

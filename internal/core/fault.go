@@ -66,10 +66,12 @@ type DiskFault struct {
 
 // Rejoin scripts a dead server's return: at the start of superstep Step
 // (as observed by any live server) the session's join controller wakes and
-// runs the full rejoin protocol for Server — handshake with the
-// coordinator, admission at the step edge, checkpoint + tile restoration,
-// replay. The server must already be dead when the coordinate fires (pair
-// it with an earlier Kill); a rejoin for a live server is a no-op.
+// runs the full rejoin protocol for Server — in a serial session handshake
+// with the coordinator, admission at the step edge, checkpoint + tile
+// restoration, replay; in a multi-tenant session admission between jobs,
+// exactly as Session.Join. The server must already be dead when the
+// coordinate fires (pair it with an earlier Kill); a rejoin for a live
+// server is a no-op.
 type Rejoin struct {
 	// Server is the rank that comes back.
 	Server int
@@ -120,9 +122,9 @@ type compiledFaults struct {
 	wire    []wireFaultState
 
 	// onRejoin is the session's join controller, invoked when a scripted
-	// Rejoin coordinate fires. It starts the handshake in the background
-	// and returns a channel that closes when the rejoin has completed (or
-	// given up), so the firing runner can hold its step edge open for the
+	// Rejoin coordinate fires. It starts the join in the background and
+	// returns a channel that closes when the rejoin has completed (or given
+	// up), so a serial firing runner can hold its step edge open for the
 	// admission. Wired by Open.
 	onRejoin func(Rejoin) <-chan struct{}
 }
@@ -274,7 +276,7 @@ func (cf *compiledFaults) disarmKills(server int) {
 
 // fireRejoins claims every scripted rejoin pinned to the start of step,
 // hands each to the session's join controller, and returns their completion
-// channels so the firing runner can park at its step edge until the
+// channels so a serial firing runner can park at its step edge until the
 // admissions land. Any live server can hit the coordinate first (in a
 // multi-tenant session even on different jobs whose step counters
 // disagree); the one-shot makes exactly one of them fire it.

@@ -1,32 +1,37 @@
 package core
 
 // Elastic membership (see docs/ARCHITECTURE.md, "Elastic membership").
-// A dead server rejoins a live session in three acts:
+// A dead server rejoins a live session. A multi-tenant session
+// (MaxConcurrentJobs > 1) admits it only between jobs: the join pauses
+// admission, the in-flight jobs finish on the shrunk membership — recovery
+// already made them whole — and the controller admits the joiner directly
+// once none is left (joinBetweenJobs); it serves from the next job on. A
+// serial session also admits mid-job, in three acts:
 //
 //  1. Handshake. The joiner's controller goroutine sends a versioned join
 //     request over the cluster's control plane (cluster.Node.CtlSend — the
 //     one channel that works for non-members) to every live rank, the
 //     coordinator (lowest live rank) first, and waits for an accept.
 //     Requests are retried with exponential backoff plus deterministic
-//     jitter under a hard deadline; live servers poll for requests only at
-//     superstep edges (pollJoinRequests), so admission always lands at a
+//     jitter under a hard deadline; the live server polls for requests only
+//     at superstep edges (pollJoinRequests), so admission always lands at a
 //     step boundary. The request is replicated to all live ranks because
 //     mid-step servers may be stalled waiting on a peer and cannot poll —
 //     whichever rank reaches its step edge first performs the admission,
 //     and the declaration is idempotent for everyone else.
 //  2. Admission. The polling server calls cluster.Node.DeclareJoined: the
 //     membership epoch grows, the barriers are re-keyed to the larger
-//     member count, and every in-flight runner's next blocked operation
-//     unwinds with ErrMembershipChanged — the same level-triggered signal
-//     a death raises, funneling everyone into the recovery protocol.
+//     member count, and the in-flight runners' next blocked operation
+//     unwinds with ErrMembershipChanged — the same level-triggered signal a
+//     death raises, funneling everyone into the recovery protocol.
 //  3. Fold-in. The session revives the node (reviveServer): the death flag
-//     clears, a fresh frame router boots (multi-tenant), and a replacement
-//     runner is spawned for every job the dead node consumed as a zombie
-//     (rejoinJob). The replacement advertises need in the marker exchange,
-//     is excluded from the restore consensus, receives the consensus
-//     checkpoint from a donor (recovery.go streamCheckpoint), re-adopts
-//     its own setup-persisted tiles through the ordinary reconcile pass,
-//     and replays from restore+1 — bit-identically, like any survivor.
+//     clears and a replacement runner is spawned for the job the dead node
+//     consumed as a zombie (rejoinJob). The replacement advertises need in
+//     the marker exchange, is excluded from the restore consensus, receives
+//     the consensus checkpoint from a donor (recovery.go streamCheckpoint),
+//     re-adopts its own setup-persisted tiles through the ordinary
+//     reconcile pass, and replays from restore+1 — bit-identically, like
+//     any survivor.
 //
 // A joiner that is admitted but dies again before restoring state (the
 // scripted FailMidTransfer) is simply declared dead once more; survivors'
@@ -124,38 +129,30 @@ func joinJitter(d time.Duration, rank int, attempt uint32) time.Duration {
 	return d/2 + time.Duration(int64(d)*frac/1024/2) + d/4
 }
 
+// admitsJoins reports whether this runner admits joiners at its step edges.
+// Only a serial session's runner does — a multi-tenant session admits
+// between jobs (joinBetweenJobs) — and only for a job that can absorb a
+// membership grow: the admission throws it into the recovery protocol, which
+// needs checkpoints under All-in-All replication. A serial session has one
+// job in flight, so this runner's own job is the only one to ask about.
+func (s *server) admitsJoins() bool {
+	return !s.multi && s.ckptEvery > 0 && s.cfg.Replication == AllInAll
+}
+
 // pollJoinRequests is the live-server half of the handshake, called at the
-// start of every superstep before any of the step's traffic. It admits a
-// waiting joiner only when every in-flight job can absorb a membership grow:
-// this runner's own job must be recoverable (the admission throws it into
-// the recovery protocol), and the session-wide joinBlock counter must show
-// no unrecoverable job in flight. Admission is idempotent — a duplicate
-// request for an already-live rank just re-sends the accept, which the
-// joiner's retry loop may have missed.
+// start of every superstep before any of the step's traffic. Admission is
+// idempotent — a duplicate request for an already-live rank just re-sends
+// the accept, which the joiner's retry loop may have missed.
 func (s *server) pollJoinRequests() {
 	n := s.node
-	if n.NumNodes() < 2 || n.AliveCount() == n.NumNodes() {
-		return // full house: drain nothing, requests are stale or bogus
+	if !s.admitsJoins() || n.NumNodes() < 2 || n.AliveCount() == n.NumNodes() {
+		return // no admission here, or a full house: requests are stale or bogus
 	}
-	if s.ckptEvery <= 0 || s.cfg.Replication != AllInAll {
-		return // this job cannot fold a newcomer in
-	}
-	if blk := s.shared.joinBlock; blk == nil || blk.Load() != 0 {
-		return // some other in-flight job cannot
-	}
-	if !s.multi {
-		// Serial session: nobody receives on this server's behalf while it
-		// sits at a step edge, so pull any frames already delivered to the
-		// transport inbox — control frames land in the poll queue, data
-		// frames are stashed for the step's ordinary receives. A multi-tenant
-		// session must NOT probe: its frame router goroutine owns the inbox
-		// continuously (recvMsgStall diverts control frames into the poll
-		// queue as they arrive), and a second competing receiver would
-		// interleave with the router arbitrarily — the probe could stash
-		// frame F1 while the router pulls and routes a later F2 directly,
-		// breaking per-sender FIFO on the data plane.
-		n.CtlProbe()
-	}
+	// Nobody receives on this server's behalf while it sits at a step edge,
+	// so pull any frames already delivered to the transport inbox — control
+	// frames land in the poll queue, data frames are stashed for the step's
+	// ordinary receives.
+	n.CtlProbe()
 	for {
 		p := n.CtlPoll()
 		if p == nil {
@@ -169,13 +166,7 @@ func (s *server) pollJoinRequests() {
 			_ = n.CtlSend(rank, appendJoinResp(nil, rank, false))
 			continue
 		}
-		// Admit under the job registry's lock: the lock-free joinBlock check
-		// above is only a fast path, and a Submit can publish an unrecoverable
-		// job between it and the declaration. The request stays unanswered on
-		// refusal; the joiner's retry loop re-sends it.
-		if s.shared.admit == nil || !s.shared.admit(rank) {
-			return
-		}
+		n.DeclareJoined(rank) // idempotent for an already-live rank
 		_ = n.CtlSend(rank, appendJoinResp(nil, rank, true))
 	}
 }
@@ -199,14 +190,15 @@ func (se *Session) joinDeadline() time.Duration {
 	return d
 }
 
-// Join readmits a dead server into the live session: the handshake runs
-// against the current coordinator, admission lands at a superstep edge, and
-// the server is folded back in through the recovery protocol — receiving
-// the newest consistent checkpoint from a donor when a job is in flight,
-// and simply reclaiming its base tiles when the session is idle. Join
-// returns once the server is a live member again (its replay, if any,
-// continues in the background and is awaited by the in-flight Submit).
-// Joining a live rank is a no-op. Cancelling ctx abandons the handshake.
+// Join readmits a dead server into the live session and returns once it is
+// a live member again; joining a live rank is a no-op. A serial session
+// admits it at a superstep edge after a handshake: mid-job, it is streamed
+// the newest consistent checkpoint and replays in the background (awaited
+// by the in-flight Submit), which needs a job that checkpoints under
+// All-in-All replication; between jobs, it reclaims its base tiles. A
+// multi-tenant session admits it only between jobs: admission pauses until
+// the in-flight jobs finish without it, so the wait is bounded only by ctx
+// and Close. Cancelling ctx abandons the join.
 func (se *Session) Join(ctx context.Context, rank int) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -215,17 +207,19 @@ func (se *Session) Join(ctx context.Context, rank int) error {
 }
 
 // scriptedRejoin is the fault plan's entry point (compiledFaults.onRejoin):
-// it runs the same protocol as Join on a background deadline. The returned
-// channel closes when the rejoin has completed (or given up), so the runner
-// that fired the coordinate can hold its step edge open for the admission
-// (awaitRejoin) — without that, a short job could run to completion before
-// the handshake ever lands.
+// it runs the same protocol as Join in the background. Admission pauses
+// before it returns, on the firing runner, so in a multi-tenant session no
+// Submit is admitted ahead of the join. The returned channel closes when the
+// rejoin has completed (or given up), so a serial runner that fired the
+// coordinate can hold its step edge open for the admission (awaitRejoin) —
+// without that, a short job could run to completion before the handshake
+// ever lands.
 func (se *Session) scriptedRejoin(f Rejoin) <-chan struct{} {
+	se.sched.pause()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ctx, cancel := context.WithTimeout(context.Background(), se.joinDeadline())
-		defer cancel()
+		defer se.sched.resume()
 		// Scripted coordinates can fire on the same step edge as the kill
 		// that makes the server eligible; give the kill a moment to land. A
 		// rejoin for a server that stays alive is a no-op, per the Rejoin
@@ -237,7 +231,7 @@ func (se *Session) scriptedRejoin(f Rejoin) <-chan struct{} {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		_ = se.joinServer(ctx, f.Server, f.FailMidTransfer)
+		_ = se.joinServer(context.Background(), f.Server, f.FailMidTransfer)
 	}()
 	return done
 }
@@ -249,14 +243,11 @@ func (se *Session) scriptedRejoin(f Rejoin) <-chan struct{} {
 // at a step edge, and the firing runner is by definition at one. Peers
 // stalled on this runner's traffic tolerate the pause the same way they
 // tolerate any slow step, and the handshake resolves in milliseconds — the
-// parked poll admits the joiner on its next spin. If this runner cannot
-// admit anyone (unrecoverable job in flight), it does not park: the
-// handshake stays in the background and fails by deadline.
+// parked poll admits the joiner on its next spin. A runner that cannot admit
+// anyone does not park: a multi-tenant join lands between jobs, and a serial
+// job that cannot recover leaves the handshake to fail by deadline.
 func (s *server) awaitRejoin(done <-chan struct{}) {
-	if s.ckptEvery <= 0 || s.cfg.Replication != AllInAll {
-		return
-	}
-	if blk := s.shared.joinBlock; blk == nil || blk.Load() != 0 {
+	if !s.admitsJoins() {
 		return
 	}
 	tick := time.NewTicker(200 * time.Microsecond)
@@ -271,16 +262,9 @@ func (s *server) awaitRejoin(done <-chan struct{}) {
 	}
 }
 
-// joinServer is the joiner-side handshake loop shared by Join and the
-// scripted rejoin: bounded retries with exponential backoff + jitter, a
-// hard deadline, and a direct-admission fast path for an idle session
-// (between jobs no live runner polls the control plane). failMidTransfer
-// scripts the hardening case: complete the handshake, get admitted, then
-// die again before restoring any state.
-func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer bool) error {
-	if rank < 0 || rank >= se.cfg.NumServers {
-		return fmt.Errorf("core: Join of invalid server rank %d", rank)
-	}
+// joinRefusal reports why the session can admit nobody any more — it was
+// closed, or a hard error killed it — or nil while a join may proceed.
+func (se *Session) joinRefusal() error {
 	closed, dead := se.liveState()
 	if closed {
 		return fmt.Errorf("core: Join: %w", ErrSessionClosed)
@@ -288,40 +272,99 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 	if dead != nil {
 		return &sessionDeadError{cause: dead}
 	}
+	return nil
+}
+
+// joinServer is the joiner side shared by Join and the scripted rejoin: the
+// handshake in a serial session, the between-jobs admission in a
+// multi-tenant one. failMidTransfer scripts the hardening case: get
+// admitted, then die again before restoring any state.
+func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer bool) error {
+	if rank < 0 || rank >= se.cfg.NumServers {
+		return fmt.Errorf("core: Join of invalid server rank %d", rank)
+	}
+	if err := se.joinRefusal(); err != nil {
+		return err
+	}
 	n := se.cl.Node(rank)
 	if n.Alive(rank) {
 		return nil
 	}
+	var err error
+	if se.multi {
+		err = se.joinBetweenJobs(ctx, rank)
+	} else {
+		err = se.handshake(ctx, rank)
+	}
+	if err != nil {
+		return err
+	}
+	if failMidTransfer {
+		// Hardening script: the handshake succeeded, the epoch grew — and
+		// the joiner dies again before restoring any state. Crash() declares
+		// it dead immediately, so survivors' recovery pass re-acknowledges
+		// the shrunk view at once instead of waiting out a marker stall; the
+		// running step is not disturbed beyond the recovery it was already
+		// performing.
+		n.Crash()
+		return ErrInjectedFault
+	}
+	se.reviveServer(rank)
+	return nil
+}
 
+// joinBetweenJobs admits rank into a multi-tenant session. Admission pauses
+// so no new job starts; the in-flight jobs finish on the shrunk membership,
+// which recovery already made whole; tryDirectAdmit lands the join once none
+// is left; and admission resumes, so the joiner serves from the next job.
+// Admitting only between jobs keeps one runner per job on every node. The
+// wait is bounded by ctx and by Close, not by the handshake deadline: the
+// longest in-flight job sets it.
+func (se *Session) joinBetweenJobs(ctx context.Context, rank int) error {
+	se.sched.pause()
+	defer se.sched.resume()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		if err := se.joinRefusal(); err != nil {
+			return err
+		}
+		if se.tryDirectAdmit(rank) {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
+}
+
+// handshake is a serial session's joiner loop: bounded retries with
+// exponential backoff + jitter under a hard deadline, and a direct-admission
+// fast path for an idle session (between jobs no live runner polls the
+// control plane). It returns once rank is a live member.
+func (se *Session) handshake(ctx context.Context, rank int) error {
+	n := se.cl.Node(rank)
 	deadline := time.Now().Add(se.joinDeadline())
 	backoff := joinBackoffBase
 	var attempt uint32
-	admitted := false
-	for !admitted {
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
 			return ErrJoinTimeout
 		}
-		closed, dead := se.liveState()
-		if closed {
-			return fmt.Errorf("core: Join: %w", ErrSessionClosed)
-		}
-		if dead != nil {
-			return &sessionDeadError{cause: dead}
+		if err := se.joinRefusal(); err != nil {
+			return err
 		}
 		// Idle session: no runner will poll the control plane until the
 		// next Submit, so the controller admits directly — under the job
 		// registry's lock, so a racing Submit either sees the grown
 		// membership or is registered first and defers us to its runners.
-		if se.tryDirectAdmit(rank) {
-			admitted = true
-			break
-		}
-		if n.Alive(rank) { // a runner's poll admitted us
-			admitted = true
-			break
+		if se.tryDirectAdmit(rank) || n.Alive(rank) { // or a runner's poll admitted us
+			return nil
 		}
 		// Replicate the request to every live rank, coordinator first: a
 		// mid-step server may be stalled on a peer and unable to poll, so
@@ -348,10 +391,9 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 			wait = until
 		}
 		waitEnd := time.Now().Add(wait)
-		for !admitted && time.Now().Before(waitEnd) {
+		for time.Now().Before(waitEnd) {
 			if n.Alive(rank) {
-				admitted = true
-				break
+				return nil
 			}
 			slice := 5 * time.Millisecond
 			if rem := time.Until(waitEnd); rem < slice {
@@ -376,33 +418,22 @@ func (se *Session) joinServer(ctx context.Context, rank int, failMidTransfer boo
 			for !n.Alive(rank) && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			admitted = n.Alive(rank)
+			if n.Alive(rank) {
+				return nil
+			}
 		}
 		if backoff *= 2; backoff > joinBackoffCap {
 			backoff = joinBackoffCap
 		}
 	}
-
-	if failMidTransfer {
-		// Hardening script: the handshake succeeded, the epoch grew — and
-		// the joiner dies again before restoring any state. Crash() declares
-		// it dead immediately, so survivors' recovery pass re-acknowledges
-		// the shrunk view at once instead of waiting out a marker stall; the
-		// running step is not disturbed beyond the recovery it was already
-		// performing.
-		n.Crash()
-		return ErrInjectedFault
-	}
-	se.reviveServer(rank)
-	return nil
 }
 
 // tryDirectAdmit admits rank without a runner's help when no job is in
 // flight. Holding the registry lock across the declaration and revival
 // closes the race with a concurrent Submit: a job registered before we
-// looked defers admission to its runners' step-edge polls; one registered
-// after observes the grown membership (and, on the revived node, a cleared
-// death flag) from its very first step.
+// looked makes the caller retry (or, serially, admit through the job's
+// step-edge polls); one registered after observes the grown membership
+// (and, on the revived node, a cleared death flag) from its very first step.
 func (se *Session) tryDirectAdmit(rank int) bool {
 	se.regMu.Lock()
 	defer se.regMu.Unlock()
@@ -422,12 +453,14 @@ func (se *Session) reviveServer(rank int) {
 }
 
 // reviveLocked (caller holds regMu) clears the node's death flag, boots a
-// fresh frame router (the old one's done channel is permanently closed),
-// and spawns a replacement runner for every in-flight job — those the dead
-// node consumed as zombies, and any it hasn't consumed yet (the ledger
-// entry makes the normal path consume them as zombies, so exactly one
-// runner per job survives). The death-flag flip and the ledger claims are
-// one critical section under zMu, pairing with runJob's claimIfZombie.
+// fresh frame router on a multi-tenant node (the old one's done channel is
+// permanently closed), and spawns a replacement runner for every in-flight
+// job — those the dead node consumed as zombies, and any it hasn't consumed
+// yet (the ledger entry makes the normal path consume them as zombies, so
+// exactly one runner per job survives). Only a serial session has in-flight
+// jobs here: a multi-tenant node is revived between jobs. The death-flag
+// flip and the ledger claims are one critical section under zMu, pairing
+// with runJob's claimIfZombie.
 func (se *Session) reviveLocked(rank int) {
 	sv := se.servers[rank]
 	sh := sv.shared
@@ -454,10 +487,8 @@ func (se *Session) reviveLocked(rank int) {
 	// Count the comeback before any replacement runner (or later job's
 	// clone) snapshots the node's counters into its stats.
 	sh.joins.Add(1)
-	if se.multi {
-		if old := sh.router.Load(); old != nil {
-			old.halt()
-		}
+	if old := sh.router.Load(); old != nil {
+		old.halt()
 		r := newFrameRouter(sv.node, se.routerCap, se.noteFatal)
 		sh.router.Store(r)
 		go r.run()
@@ -484,12 +515,7 @@ func (se *Session) reviveLocked(rank int) {
 		}
 		sh.quiesceEnter() // replacement runner holds the gate like any other
 		go func(jb *job) {
-			var fatal error
-			if se.multi {
-				fatal = sv.jobRunner(jb).rejoinJob(jb)
-			} else {
-				fatal = sv.rejoinJob(jb)
-			}
+			fatal := sv.rejoinJob(jb)
 			sh.quiesceExit()
 			if fatal != nil {
 				se.noteFatal(fatal)
@@ -499,8 +525,8 @@ func (se *Session) reviveLocked(rank int) {
 	}
 }
 
-// rejoinJob is runJob's twin for a replacement runner: the server rejoins a
-// job already in flight, so instead of starting the superstep loop at step
+// rejoinJob is runJob's twin for a serial session's replacement runner: the
+// server rejoins a job already in flight, so instead of starting the superstep loop at step
 // 0 it enters the recovery protocol needy — advertising that it holds no
 // state, receiving the consensus checkpoint from a donor, re-adopting its
 // own tiles — and replays from restore+1. Stats, zombie exits and error
@@ -527,17 +553,6 @@ func (s *server) rejoinJob(jb *job) (fatal error) {
 	s.ckptCount, s.ckptBytes = 0, 0
 	s.tilesAdopted, s.recoveries, s.recoveryTime = 0, 0, 0
 	s.rebal = nil
-	if s.multi {
-		// Pin the membership view like any fresh runner; recoverFromFailure
-		// re-acknowledges, but the router needs an unblocked node first.
-		epoch, alive := s.node.AckMembership()
-		s.ackedEpoch = epoch
-		if !alive[s.node.ID()] {
-			_ = s.die(true)
-			s.markZombie(jb)
-			return nil
-		}
-	}
 	if err := s.clearCheckpoints(); err != nil {
 		jb.errs[s.node.ID()] = err
 		return err
@@ -597,12 +612,6 @@ func (s *server) rejoinJob(jb *job) (fatal error) {
 	}
 	if s.pf != nil {
 		s.pf.drain()
-	}
-	if s.multi {
-		for _, step := range s.ckptSteps {
-			_ = s.store.Remove(s.ckptName(step))
-		}
-		s.ckptSteps = s.ckptSteps[:0]
 	}
 	s.fillServerStats()
 	return nil

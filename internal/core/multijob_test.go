@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,39 +389,99 @@ func TestMultiJobCancelOne(t *testing.T) {
 	}
 }
 
+// overlapAtStep0 returns one JobOptions per job whose Progress callbacks
+// meet at superstep 0: neither job's coordinator leaves its step-0 edge
+// before every job has reached it, so all of them are provably in flight
+// together from superstep 1 on. then, if non-nil, runs once everyone has
+// arrived, before anyone moves on.
+func overlapAtStep0(t *testing.T, jobs int, then func()) []JobOptions {
+	var mu sync.Mutex
+	arrived := 0
+	all := make(chan struct{})
+	opts := make([]JobOptions, jobs)
+	for i := range opts {
+		opts[i].Progress = func(st StepStats) {
+			if st.Superstep != 0 {
+				return
+			}
+			mu.Lock()
+			if arrived++; arrived == jobs {
+				if then != nil {
+					then()
+				}
+				close(all)
+			}
+			mu.Unlock()
+			select {
+			case <-all:
+			case <-time.After(30 * time.Second):
+				t.Errorf("jobs never overlapped at superstep 0")
+			}
+		}
+	}
+	return opts
+}
+
 // TestMultiJobSessionDead: a hard failure inside one concurrent job kills
 // the whole session — its own Submit surfaces the cause, in-flight
 // neighbours error out rather than hang, and later Submits fail fast with
-// ErrSessionDead.
+// ErrSessionDead. The jobs meet at superstep 0 before the disk fault is
+// armed, and WCC then stays parked at that edge until PageRank — the only
+// job still reading on server 0 — has hit the fault and returned, so WCC is
+// provably in flight when the session dies.
 func TestMultiJobSessionDead(t *testing.T) {
 	_, p := sessionGraph(t)
 	boom := errors.New("injected multi-tenant disk failure")
+	var armed, fired atomic.Bool
 	cfg := DefaultConfig(2)
 	cfg.WorkDir = t.TempDir()
 	cfg.CacheCapacity = -1 // every superstep reads the disk
 	cfg.MaxSupersteps = 8
 	cfg.MaxConcurrentJobs = 2
-	cfg.Faults = &FaultPlan{Disk: []DiskFault{{Server: 0, Op: "read", AfterOps: 10, Err: boom}}}
+	cfg.DiskFailureHook = func(server int, op, name string) error {
+		if server == 0 && op == "read" && armed.Load() && fired.CompareAndSwap(false, true) {
+			return boom
+		}
+		return nil
+	}
 	se, err := Open(Input{Partition: p}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer se.Close()
 
-	_, errs := submitConcurrently(t, se,
-		[]Program{apps.PageRank{}, apps.WCC{}},
-		make([]JobOptions, 2))
-	sawCause := false
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("job %d survived a session-killing fault", i)
+	opts := overlapAtStep0(t, 2, func() { armed.Store(true) })
+	prDone := make(chan struct{})
+	meet := opts[1].Progress
+	opts[1].Progress = func(st StepStats) {
+		meet(st)
+		if st.Superstep != 0 {
+			return
 		}
-		if errors.Is(err, boom) {
-			sawCause = true
+		select {
+		case <-prDone:
+		case <-time.After(30 * time.Second):
+			t.Errorf("PageRank never returned")
 		}
 	}
-	if !sawCause {
-		t.Fatalf("no concurrent Submit surfaced the injected cause: %v / %v", errs[0], errs[1])
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(prDone)
+		_, errs[0] = se.Submit(context.Background(), apps.PageRank{}, opts[0])
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[1] = se.Submit(context.Background(), apps.WCC{}, opts[1])
+	}()
+	wg.Wait()
+	if !errors.Is(errs[0], boom) {
+		t.Fatalf("PageRank returned %v, want the injected cause", errs[0])
+	}
+	if errs[1] == nil {
+		t.Fatal("WCC survived a session-killing fault")
 	}
 	if _, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{}); !errors.Is(err, ErrSessionDead) {
 		t.Fatalf("Submit on dead session returned %v, want ErrSessionDead", err)
@@ -430,7 +491,8 @@ func TestMultiJobSessionDead(t *testing.T) {
 // TestMultiJobSharedLoads pins the refcounted tile sharing: two disk-bound
 // concurrent sweeps (cache off, prefetch off) must take at least one tile
 // from the share window instead of the disk, and their combined disk reads
-// must come in strictly below two sequential serial jobs.
+// must come in strictly below two sequential serial jobs. The jobs meet at
+// superstep 0, so both hold their run slots through seven shared sweeps.
 func TestMultiJobSharedLoads(t *testing.T) {
 	_, p := sessionGraph(t)
 	progs := []Program{apps.PageRank{}, apps.PageRank{Damping: 0.8}}
@@ -467,7 +529,7 @@ func TestMultiJobSharedLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
-	results, errs := submitConcurrently(t, se, progs, make([]JobOptions, len(progs)))
+	results, errs := submitConcurrently(t, se, progs, overlapAtStep0(t, len(progs), nil))
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", progs[i].Name(), err)

@@ -317,7 +317,9 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 // state. A needy server persists the blob to its own store, so later
 // recoveries see it as an ordinary checkpoint holder. retry is true when
 // membership changed mid-stream (e.g. the joiner died again mid-transfer);
-// the caller re-runs the protocol from the top.
+// the caller re-runs the protocol from the top. Only a serial session's
+// replacement runner is ever needy: a multi-tenant session admits joiners
+// between jobs, so the blob travels without a job envelope.
 func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool, err error) {
 	if restore < 0 {
 		// No checkpoint exists anywhere: everyone (needy included) restarts
@@ -345,16 +347,11 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 		if err != nil {
 			return false, fmt.Errorf("core: server %d reading checkpoint for step %d to stream: %w", me, restore, err)
 		}
-		msg := blob
-		if s.multi {
-			buf := make([]byte, 0, comm.JobHeaderSize+len(blob))
-			msg = append(comm.AppendJobHeader(buf, s.jobID), blob...)
-		}
 		for p, ok := range alive {
 			if !ok || !needy[p] {
 				continue
 			}
-			if err := n.Send(p, msg); err != nil {
+			if err := n.Send(p, blob); err != nil {
 				return false, err
 			}
 		}

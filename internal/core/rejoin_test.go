@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -97,10 +98,11 @@ func TestRejoinTCP(t *testing.T) {
 	}
 }
 
-// TestMultiJobRejoin runs the tentpole's hardest case: two jobs in flight
-// when server 1 dies and rejoins. The admission must land at a step edge of
-// a session whose jobs disagree about step numbers, fold the joiner into
-// BOTH jobs' recovery protocols, and both results must stay bit-identical.
+// TestMultiJobRejoin pins the multi-tenant rejoin contract: a session with
+// two jobs in flight admits a returning server only between jobs. Server 1
+// dies at superstep 2 and its scripted rejoin fires at superstep 3; both
+// in-flight jobs finish without it — bit-identical, listing it as dead —
+// and the next Submit runs with server 1 a live member again.
 func TestMultiJobRejoin(t *testing.T) {
 	p := chaosPartition(t)
 	progs := []Program{apps.PageRank{}, apps.PageRank{Damping: 0.8}}
@@ -132,15 +134,10 @@ func TestMultiJobRejoin(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer se.Close()
-			// Only the runner that fires the rejoin parks for it; the other
-			// job keeps stepping and, six ≈ 100 µs steps long, could finish
-			// before the admission lands (a legitimate outcome that lists
-			// server 1 as dead). Hold each job at its first progress report
-			// from superstep 3 on until the other has made one too: the
-			// firing job completes step 3 only after the admission, so
-			// neither job can end on the shrunk membership. (Not "== 3": a
-			// recovery that restores step 3's own checkpoint resumes at step
-			// 4 without ever reporting step 3.)
+			// Hold each job at its first progress report from superstep 3 on
+			// until the other has made one too, so both jobs are in flight
+			// when the rejoin fires. (Not "== 3": a recovery that restores
+			// step 3's own checkpoint resumes at step 4 without reporting 3.)
 			reached := []chan struct{}{make(chan struct{}), make(chan struct{})}
 			opts := make([]JobOptions, len(progs))
 			for i := range opts {
@@ -163,17 +160,218 @@ func TestMultiJobRejoin(t *testing.T) {
 					t.Fatalf("%s: %v", progs[i].Name(), err)
 				}
 			}
-			joins := 0
 			for i, res := range results {
-				label := fmt.Sprintf("rejoin job %d", i)
+				label := fmt.Sprintf("in-flight job %d", i)
 				wantExact(t, res.Values, base[i], label)
-				wantDead(t, res, label)
-				joins += res.Servers[1].Joins
+				wantDead(t, res, label, 1) // the join waited for the job to end
 			}
-			if joins == 0 {
-				t.Fatal("no job observed server 1's rejoin")
+
+			// The join paused admission when it fired, so this Submit starts
+			// only after server 1 is back.
+			res, err := se.Submit(context.Background(), progs[0], JobOptions{})
+			if err != nil {
+				t.Fatalf("job after the rejoin: %v", err)
+			}
+			wantExact(t, res.Values, base[0], "job after the rejoin")
+			wantDead(t, res, "job after the rejoin")
+			if got := res.Servers[1].Joins; got != 1 {
+				t.Fatalf("server 1 reports %d joins, want 1", got)
+			}
+			if got := res.Servers[0].MembershipEpoch; got != 2 {
+				t.Fatalf("membership epoch = %d, want 2 (one death + one join)", got)
+			}
+			if res.Servers[1].VertexSlots == 0 {
+				t.Fatal("rejoined server 1 did not participate")
 			}
 		})
+	}
+}
+
+// TestMultiJobJoinPausesAdmission pins the admission pause a multi-tenant
+// Join takes. With one job held mid-run on a membership that lost server 1,
+// Join(1) keeps a second Submit from starting even though a run slot is
+// free: cancelling the Join releases the queued job, which then runs on the
+// shrunk membership; a Join that waits lands only once the held job ends,
+// and the Submit queued behind it runs with server 1 back.
+func TestMultiJobJoinPausesAdmission(t *testing.T) {
+	p := chaosPartition(t)
+	want := chaosRun(t, p, nil)
+	cfg := chaosConfig(t)
+	cfg.MaxConcurrentJobs = 2
+	cfg.Faults = &FaultPlan{Kills: []Kill{{Server: 1, Step: 1, Point: KillMidStep}}}
+	se, err := Open(Input{Partition: p}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+
+	held, release := holdJob(t, se)
+	// submit starts a Submit and reports when its first superstep is done.
+	submit := func() (started <-chan struct{}, done <-chan submitted) {
+		st, dn := make(chan struct{}), make(chan submitted, 1)
+		var once sync.Once
+		go func() {
+			res, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{
+				Progress: func(StepStats) { once.Do(func() { close(st) }) },
+			})
+			dn <- submitted{res, err}
+		}()
+		return st, dn
+	}
+	notStarted := func(started <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-started:
+			t.Fatalf("%s started while a join held admission paused", what)
+		case <-time.After(150 * time.Millisecond):
+		}
+	}
+
+	// A cancelled Join resumes admission: the queued job then runs without
+	// server 1, next to the held one.
+	ctx, cancel := context.WithCancel(context.Background())
+	joined := make(chan error, 1)
+	go func() { joined <- se.Join(ctx, 1) }()
+	waitPaused(t, se)
+	started, done := submit()
+	notStarted(started, "queued job")
+	cancel()
+	if err := <-joined; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Join returned %v, want context.Canceled", err)
+	}
+	q := <-done
+	if q.err != nil {
+		t.Fatalf("job queued behind the cancelled Join: %v", q.err)
+	}
+	wantExact(t, q.res.Values, want.Values, "job after the cancelled Join")
+	wantDead(t, q.res, "job after the cancelled Join", 1)
+
+	// A waiting Join lands only once the held job ends.
+	go func() { joined <- se.Join(context.Background(), 1) }()
+	waitPaused(t, se)
+	started, done = submit()
+	notStarted(started, "job queued behind the Join")
+	select {
+	case err := <-joined:
+		t.Fatalf("Join returned %v while a job was in flight", err)
+	default:
+	}
+	release()
+	h := <-held
+	if h.err != nil {
+		t.Fatalf("held job: %v", h.err)
+	}
+	wantExact(t, h.res.Values, want.Values, "held job")
+	wantDead(t, h.res, "held job", 1)
+	if err := <-joined; err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	q = <-done
+	if q.err != nil {
+		t.Fatalf("job queued behind the Join: %v", q.err)
+	}
+	wantExact(t, q.res.Values, want.Values, "job after the Join")
+	wantDead(t, q.res, "job after the Join")
+	if got := q.res.Servers[1].Joins; got != 1 {
+		t.Fatalf("server 1 reports %d joins, want 1", got)
+	}
+}
+
+// TestMultiJobCloseWithJoinPending: Close while a multi-tenant Join waits
+// for an in-flight job neither deadlocks nor strands anyone — the Join and
+// the Submit queued behind it return ErrSessionClosed at once, and Close
+// returns as soon as the held job finishes.
+func TestMultiJobCloseWithJoinPending(t *testing.T) {
+	p := chaosPartition(t)
+	cfg := chaosConfig(t)
+	cfg.MaxConcurrentJobs = 2
+	cfg.Faults = &FaultPlan{Kills: []Kill{{Server: 1, Step: 1, Point: KillMidStep}}}
+	se, err := Open(Input{Partition: p}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+
+	held, release := holdJob(t, se)
+	joined := make(chan error, 1)
+	go func() { joined <- se.Join(context.Background(), 1) }()
+	waitPaused(t, se)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{})
+		queued <- err
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- se.Close() }()
+
+	for what, ch := range map[string]chan error{"Join": joined, "queued Submit": queued} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("%s returned %v, want ErrSessionClosed", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still waiting after Close", what)
+		}
+	}
+	release()
+	if h := <-held; h.err != nil {
+		t.Fatalf("held job: %v", h.err)
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close deadlocked with a join pending")
+	}
+}
+
+// submitted is one Submit's outcome.
+type submitted struct {
+	res *Result
+	err error
+}
+
+// holdJob starts a PageRank job that parks inside its first progress report
+// after the scripted kill of server 1 (superstep 2 on), and returns once it
+// is parked. release lets it run to completion; held then yields its result.
+func holdJob(t *testing.T, se *Session) (held <-chan submitted, release func()) {
+	t.Helper()
+	parked, hold, out := make(chan struct{}), make(chan struct{}), make(chan submitted, 1)
+	var once sync.Once
+	go func() {
+		res, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{
+			Progress: func(st StepStats) {
+				if st.Superstep < 2 {
+					return
+				}
+				once.Do(func() {
+					close(parked)
+					<-hold
+				})
+			},
+		})
+		out <- submitted{res, err}
+	}()
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("held job never reached superstep 2")
+	}
+	return out, func() { close(hold) }
+}
+
+// waitPaused polls until a pending join has paused the session's admission.
+func waitPaused(t *testing.T, se *Session) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !se.AdmissionPaused() {
+		if time.Now().After(deadline) {
+			t.Fatal("Join never paused admission")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

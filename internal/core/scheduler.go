@@ -10,7 +10,9 @@ package core
 //     (the task-queue + bounded-worker-pool shape). A Submit that finds no
 //     free slot parks in the queue; one that finds the queue full fails
 //     fast with ErrJobQueueFull. Higher-weight jobs enqueue with smaller
-//     virtual times and are granted first within a backlog.
+//     virtual times and are granted first within a backlog. A pending join
+//     pauses admission (pause/resume) so the in-flight jobs drain and the
+//     joiner is admitted between jobs.
 //
 //   - stepGate, the per-server weighted-round-robin turnstile at superstep
 //     edges: each runner arrives before starting a step, and among the
@@ -51,6 +53,7 @@ type jobScheduler struct {
 	maxRun   int
 	maxQueue int
 	running  int
+	paused   int   // nested pause count; no slot is granted while non-zero
 	free     []int // free slot indices
 	queue    []*admitWaiter
 	clock    float64 // virtual time of the last grant
@@ -72,7 +75,7 @@ func newJobScheduler(maxRun, maxQueue int) *jobScheduler {
 // be handed back via release.
 func (s *jobScheduler) admit(ctx context.Context, weight int) (slot int, err error) {
 	s.mu.Lock()
-	if s.running < s.maxRun && len(s.queue) == 0 {
+	if s.paused == 0 && s.running < s.maxRun && len(s.queue) == 0 {
 		slot = s.grantLocked()
 		s.mu.Unlock()
 		return slot, nil
@@ -132,18 +135,44 @@ func (s *jobScheduler) grantLocked() int {
 }
 
 // release returns a finished job's slot and grants it to the head of the
-// wait-queue, advancing the virtual clock to the granted waiter's time.
+// wait-queue unless admission is paused.
 func (s *jobScheduler) release(slot int) {
 	s.mu.Lock()
 	s.running--
 	s.free = append(s.free, slot)
 	s.mask.Store(s.mask.Load() &^ (1 << uint(slot)))
-	if s.running < s.maxRun && len(s.queue) > 0 {
+	s.grantQueuedLocked()
+	s.mu.Unlock()
+}
+
+// grantQueuedLocked hands free slots to the head of the wait-queue while
+// admission is not paused, advancing the virtual clock to each granted
+// waiter's time.
+func (s *jobScheduler) grantQueuedLocked() {
+	for s.paused == 0 && s.running < s.maxRun && len(s.queue) > 0 {
 		w := s.queue[0]
 		s.queue = s.queue[1:]
 		s.clock = w.vt
 		w.ready <- s.grantLocked()
 	}
+}
+
+// pause stops admission until the matching resume: admit queues (or fails
+// fast with ErrJobQueueFull) even when a slot is free, and release grants
+// nothing. Pauses nest. A nil scheduler — a serial session, which has no
+// admission queue — ignores both calls.
+func (s *jobScheduler) pause() { s.addPause(1) }
+
+// resume lifts one pause; the last one grants every free slot to the queue.
+func (s *jobScheduler) resume() { s.addPause(-1) }
+
+func (s *jobScheduler) addPause(d int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.paused += d
+	s.grantQueuedLocked()
 	s.mu.Unlock()
 }
 

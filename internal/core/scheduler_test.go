@@ -140,6 +140,50 @@ func TestJobSchedulerCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestJobSchedulerPause pins the join's admission pause: while paused, an
+// admit queues even with a slot free, the queue bound still sheds load, a
+// release grants nothing, and only the last of nested resumes grants.
+func TestJobSchedulerPause(t *testing.T) {
+	s := newJobScheduler(2, 1)
+	held, err := s.admit(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.pause()
+	s.pause()
+	granted := make(chan int, 1)
+	go func() {
+		slot, err := s.admit(context.Background(), 1)
+		if err != nil {
+			t.Error(err)
+		}
+		granted <- slot
+	}()
+	waitUntil(t, "admit to queue behind the pause", func() bool { return s.queued() == 1 })
+	if _, err := s.admit(context.Background(), 1); !errors.Is(err, ErrJobQueueFull) {
+		t.Fatalf("overflow admit while paused returned %v, want ErrJobQueueFull", err)
+	}
+	s.release(held)
+	s.resume()
+	select {
+	case slot := <-granted:
+		t.Fatalf("slot %d granted with one pause still held", slot)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.resume()
+	select {
+	case <-granted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("last resume granted nothing")
+	}
+	if s.queued() != 0 {
+		t.Fatalf("queue depth %d after resume, want 0", s.queued())
+	}
+	var nilSched *jobScheduler // a serial session: pause and resume are no-ops
+	nilSched.pause()
+	nilSched.resume()
+}
+
 // TestStepGateKeyOrder pins the turnstile semantics: a waiting job blocks
 // only behind strictly smaller (virtual time, job ID) keys, so a
 // high-weight arrival passes a contended gate immediately while a

@@ -202,16 +202,14 @@ type Session struct {
 
 	// Elastic-membership machinery: the per-rank session-lifetime servers
 	// (reviveServer respawns runners on them), the in-flight job registry
-	// (a rejoin must fold into every running job exactly once), the count
-	// of in-flight jobs that cannot absorb a membership grow (admission is
-	// deferred while it is non-zero), and the mailbox capacity rejoin
-	// routers are rebuilt with. regMu orders job registration against
+	// (a rejoin must fold into every running job exactly once, and a
+	// multi-tenant one waits for it to empty), and the mailbox capacity
+	// rejoin routers are rebuilt with. regMu orders job registration against
 	// admission: a job is either registered before a revive (and gets a
 	// replacement runner) or after (and sees the grown membership itself).
 	servers   []*server
 	regMu     sync.Mutex
 	inflight  map[*job]struct{}
-	joinBlock atomic.Int32
 	routerCap int
 
 	mu     sync.Mutex
@@ -337,7 +335,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 		se.sched = newJobScheduler(cfg.MaxConcurrentJobs, cfg.MaxQueuedJobs)
 	}
 	for i := range se.shared {
-		ns := &nodeShared{joinBlock: &se.joinBlock, admit: se.admitJoin}
+		ns := &nodeShared{}
 		if multi {
 			ns.gate = newStepGate()
 			ns.share = cache.NewShareWindow(costmodel.ShareWindowTiles(cfg.MaxConcurrentJobs, cfg.WorkersPerServer))
@@ -526,6 +524,7 @@ func (se *Session) Submit(ctx context.Context, prog Program, opts JobOptions) (*
 		ch <- jb
 	}
 	jb.grp.wait()
+	deadServers := se.deadServers() // before a between-jobs join can land
 	se.unregisterJob(jb)
 
 	if err := cluster.FirstNodeError(jb.errs); err != nil {
@@ -537,7 +536,6 @@ func (se *Session) Submit(ctx context.Context, prog Program, opts JobOptions) (*
 			return nil, cerr
 		}
 	}
-	deadServers := se.deadServers()
 	if len(deadServers) == se.cfg.NumServers {
 		// Every server died (scripted kills can do that). There is no
 		// survivor to have filled the result, and no membership left to run
@@ -619,6 +617,9 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 	}
 	jb.grp.wait()
 	se.retireJob(jb)
+	// The job ran on the membership it ends with: a pending join lands only
+	// once the registry is empty, so read the dead set while still in it.
+	deadServers := se.deadServers()
 	se.unregisterJob(jb)
 
 	if err := cluster.FirstNodeError(jb.errs); err != nil {
@@ -630,7 +631,6 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 			return nil, cerr
 		}
 	}
-	deadServers := se.deadServers()
 	if len(deadServers) == se.cfg.NumServers {
 		err := fmt.Errorf("core: all %d servers died during the job", se.cfg.NumServers)
 		se.mu.Lock()
@@ -684,26 +684,13 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 	}, nil
 }
 
-// jobRecoverable reports whether a job can absorb a membership grow: a
-// rejoin throws every in-flight job into the recovery protocol, which only
-// converges when the job checkpoints under All-in-All replication.
-func (se *Session) jobRecoverable(jb *job) bool {
-	return jb.ckptEvery > 0 && se.cfg.Replication == AllInAll && se.cfg.NumServers > 1
-}
-
 // registerJob enters a job into the in-flight registry before its fan-out.
 // The registry lock orders this against reviveLocked: a job registered
-// first gets a replacement runner on a rejoined server; one registered
-// after the revive observes the grown membership from its first step.
-// Unrecoverable jobs also raise joinBlock, deferring admissions until they
-// drain — inside the same critical section that publishes the job, so
-// admitJoin (which checks the counter under regMu) can never admit a rejoin
-// with a published-but-uncounted unrecoverable job in flight.
+// first gets a replacement runner on a rejoined server (serial) or defers
+// the join until it ends (multi-tenant); one registered after the revive
+// observes the grown membership from its first step.
 func (se *Session) registerJob(jb *job) {
 	se.regMu.Lock()
-	if !se.jobRecoverable(jb) {
-		se.joinBlock.Add(1)
-	}
 	se.inflight[jb] = struct{}{}
 	se.regMu.Unlock()
 }
@@ -714,33 +701,12 @@ func (se *Session) registerJob(jb *job) {
 func (se *Session) unregisterJob(jb *job) {
 	se.regMu.Lock()
 	delete(se.inflight, jb)
-	if !se.jobRecoverable(jb) {
-		se.joinBlock.Add(-1)
-	}
 	se.regMu.Unlock()
 	for _, ns := range se.shared {
 		ns.zMu.Lock()
 		delete(ns.zombies, jb)
 		ns.zMu.Unlock()
 	}
-}
-
-// admitJoin is the runner-side join admission (nodeShared.admit): it
-// declares rank joined under the job registry's lock. pollJoinRequests'
-// lock-free joinBlock read is only a fast path — a Submit can register an
-// unrecoverable job between that read and the declaration. Taking regMu
-// here pairs with registerJob raising joinBlock inside the critical section
-// that publishes the job, so an admission either lands before the job is
-// published (its runners observe the grown membership from their first
-// step) or sees the raised counter and defers, leaving the joiner to retry.
-func (se *Session) admitJoin(rank int) bool {
-	se.regMu.Lock()
-	defer se.regMu.Unlock()
-	if se.joinBlock.Load() != 0 {
-		return false
-	}
-	se.cl.Node(rank).DeclareJoined(rank) // idempotent for an already-live rank
-	return true
 }
 
 // deadServers lists the ranks that are no longer cluster members.
