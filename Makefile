@@ -84,8 +84,9 @@ bench-check:
 # and checks bit-identical results), the smallest point of the out-of-core
 # sweep (prefetch off vs on at a 25% cache budget), the two-job
 # multi-tenant session vs back-to-back (checks bit-identity and that the
-# shared sweep beats serial), plus the allocation guards on the pipelined
-# send, receive, prefetch-hit and whole-superstep paths.
+# shared sweep beats serial), the allocation guards on the pipelined send,
+# receive, prefetch-hit and whole-superstep paths, and one short pass of the
+# per-tile gather kernels (dense grid, selective scan, dense PageRank).
 bench-smoke:
 	GRAPHH_BENCH_SCALE=0.05 $(GO) run ./cmd/graphh-bench -exp skew -supersteps 8
 	GRAPHH_BENCH_SCALE=0.05 GRAPHH_OOC_BUDGETS=25 $(GO) run ./cmd/graphh-bench -exp ooc -supersteps 6
@@ -93,6 +94,7 @@ bench-smoke:
 	$(GO) test ./internal/cluster/ -run TestRecvSteadyStateAllocs -count=1
 	$(GO) test ./internal/core/ -run 'TestProcessTileSteadyStateAllocs|TestPrefetchSteadyStateAllocs|TestRunStepSteadyStateAllocs' -count=1
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkRecovery4Servers -benchtime 1x -count=1
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkProcessTile -benchtime 100x -count=1
 
 # api-check surfaces accidental public-API breaks: the root package's
 # `go doc -all` output must match the committed snapshot in docs/API.txt.

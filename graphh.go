@@ -82,8 +82,14 @@ type Edge = graph.Edge
 type Partitioned = tile.Partition
 
 // Program is a GAB vertex program; see NewPageRank for a reference
-// implementation and core.Program for the contract.
+// implementation and core.Program for the contract. Gather is called once
+// per target vertex with all of its in-edges in the current tile and folds
+// them itself; Apply turns the result into the vertex's new value.
 type Program = core.Program
+
+// Replicas is a server's vertex replicas as a Program's Gather sees them:
+// Get(u) returns the current value of source vertex u.
+type Replicas = core.Replicas
 
 // GraphInfo is the read-only context handed to programs.
 type GraphInfo = core.Graph

@@ -30,12 +30,13 @@ func (p PageRank) InitValue(v uint32, g *core.Graph) float64 {
 	return 1 / float64(g.NumVertices)
 }
 
-// InitAccum is the additive identity.
-func (p PageRank) InitAccum() float64 { return 0 }
-
-// Gather accumulates val(u)/dout(u) along in-edges.
-func (p PageRank) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	return acc + srcVal/float64(g.OutDeg[src])
+// Gather sums val(u)/dout(u) over the in-edges, from the additive identity.
+func (p PageRank) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	acc := 0.0
+	for _, src := range srcs {
+		acc += vals.Get(src) / float64(g.OutDeg[src])
+	}
+	return acc
 }
 
 // Apply folds the accumulator into the PageRank update rule.
@@ -62,13 +63,13 @@ func (s SSSP) InitValue(v uint32, g *core.Graph) float64 {
 	return core.Inf
 }
 
-// InitAccum is the min identity.
-func (s SSSP) InitAccum() float64 { return core.Inf }
-
-// Gather relaxes one in-edge.
-func (s SSSP) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	if d := srcVal + w; d < acc {
-		return d
+// Gather relaxes every in-edge, from the min identity +Inf.
+func (s SSSP) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	acc := core.Inf
+	for i, src := range srcs {
+		if d := vals.Get(src) + edgeValue(w, i); d < acc {
+			acc = d
+		}
 	}
 	return acc
 }
@@ -99,13 +100,13 @@ func (b BFS) InitValue(v uint32, g *core.Graph) float64 {
 	return core.Inf
 }
 
-// InitAccum is the min identity.
-func (b BFS) InitAccum() float64 { return core.Inf }
-
-// Gather relaxes one hop.
-func (b BFS) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	if d := srcVal + 1; d < acc {
-		return d
+// Gather relaxes one hop along every in-edge, from the min identity +Inf.
+func (b BFS) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	acc := core.Inf
+	for _, src := range srcs {
+		if d := vals.Get(src) + 1; d < acc {
+			acc = d
+		}
 	}
 	return acc
 }
@@ -130,13 +131,14 @@ func (WCC) Name() string { return "wcc" }
 // InitValue labels each vertex with its own id.
 func (WCC) InitValue(v uint32, g *core.Graph) float64 { return float64(v) }
 
-// InitAccum is the min identity.
-func (WCC) InitAccum() float64 { return core.Inf }
-
-// Gather propagates the smallest label seen on in-neighbors.
-func (WCC) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	if srcVal < acc {
-		return srcVal
+// Gather propagates the smallest label seen on in-neighbors, from the min
+// identity +Inf.
+func (WCC) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	acc := core.Inf
+	for _, src := range srcs {
+		if l := vals.Get(src); l < acc {
+			acc = l
+		}
 	}
 	return acc
 }
@@ -161,13 +163,23 @@ func (DegreeSum) Name() string { return "degreesum" }
 // update on the first superstep and exactly quiesce on the second.
 func (DegreeSum) InitValue(v uint32, g *core.Graph) float64 { return -1 }
 
-// InitAccum is the additive identity.
-func (DegreeSum) InitAccum() float64 { return 0 }
-
-// Gather counts edge weights.
-func (DegreeSum) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	return acc + w
+// Gather sums the edge values, from the additive identity.
+func (DegreeSum) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	acc := 0.0
+	for i := range srcs {
+		acc += edgeValue(w, i)
+	}
+	return acc
 }
 
 // Apply reports the accumulator.
 func (DegreeSum) Apply(v uint32, acc, old float64, g *core.Graph) float64 { return acc }
+
+// edgeValue is edge i's value in a row's edge values w: w[i], or 1 when w is
+// nil (an unweighted graph).
+func edgeValue(w []float32, i int) float64 {
+	if w == nil {
+		return 1
+	}
+	return float64(w[i])
+}

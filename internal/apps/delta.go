@@ -42,12 +42,9 @@ func (p PageRankDelta) InitValue(v uint32, g *core.Graph) float64 {
 	return 1 / float64(g.NumVertices)
 }
 
-// InitAccum is the additive identity.
-func (p PageRankDelta) InitAccum() float64 { return 0 }
-
-// Gather accumulates val(u)/dout(u) along in-edges.
-func (p PageRankDelta) Gather(acc float64, src uint32, srcVal, w float64, g *core.Graph) float64 {
-	return acc + srcVal/float64(g.OutDeg[src])
+// Gather is PageRank's: Σ val(u)/dout(u) over the in-edges.
+func (p PageRankDelta) Gather(srcs []uint32, w []float32, vals *core.Replicas, g *core.Graph) float64 {
+	return PageRank{}.Gather(srcs, w, vals, g)
 }
 
 // Apply returns the PageRank update, or the old value unchanged when the

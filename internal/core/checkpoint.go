@@ -8,7 +8,7 @@ package core
 // next one. That bracket makes the set of per-server blobs a consistent
 // cut: no update traffic is in flight when they are taken, so under
 // All-in-All replication every blob for step c encodes the identical
-// global vector. The write is atomic (disk.Store.WriteAtomic), so a crash
+// global vector. The write is atomic (disk.Store.Write), so a crash
 // mid-checkpoint can never destroy the previous checkpoint; the last two
 // checkpoints are retained because survivors of a crash may disagree by
 // one interval about which checkpoint is newest (a barrier wake race), and
@@ -103,7 +103,7 @@ func (s *server) writeCheckpoint(step int, st *StepStats) error {
 	start := time.Now()
 	blob := encodeCheckpoint(s.ckptBuf, step, s.state.values)
 	s.ckptBuf = blob[:0]
-	if err := s.store.WriteAtomic(s.ckptName(step), blob); err != nil {
+	if err := s.store.Write(s.ckptName(step), blob); err != nil {
 		return fmt.Errorf("core: server %d writing checkpoint for step %d: %w", s.node.ID(), step, err)
 	}
 	s.ckptSteps = append(s.ckptSteps, step)

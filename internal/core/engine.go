@@ -507,7 +507,7 @@ type server struct {
 	metas      []*tileMeta
 	members    []uint32 // OnDemand replica members; nil under AllInAll
 	bloomBytes int64
-	state      *vertexState
+	state      *Replicas
 	// frontier is the set of vertices the previous superstep changed (see
 	// frontier.go); stepsBuf backs the job's step record. Both keep their
 	// storage across jobs.
@@ -835,7 +835,7 @@ func (s *server) initJobState() {
 		return
 	}
 	if s.state == nil {
-		s.state = newAllInAllState(s.graph.NumVertices)
+		s.state = NewReplicas(make([]float64, s.graph.NumVertices))
 	}
 	for v := uint32(0); v < s.graph.NumVertices; v++ {
 		s.state.values[v] = s.prog.InitValue(v, s.graph)
@@ -1686,9 +1686,6 @@ func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScrat
 	start := time.Now()
 	defer func() { out.nanos = time.Since(start).Nanoseconds() }()
 	meta := s.metas[k]
-	g := s.graph
-	prog := s.prog
-
 	skip := s.frontier.idle(meta)
 	updates := s.updBufs[k][:0]
 	if !skip {
@@ -1700,26 +1697,8 @@ func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScrat
 		if s.frontier.sparse() {
 			updates, out.gathered = s.gatherActive(t, updates)
 		} else {
-			// The dense sweep. gatherActive repeats this row body rather than
-			// sharing it through a call: this loop is PageRank's entire
-			// compute cost, and it stays free of per-row calls and branches.
 			for v := meta.lo; v < meta.hi; v++ {
-				srcs, vals := t.InEdges(v)
-				acc := prog.InitAccum()
-				if vals != nil {
-					for i, src := range srcs {
-						acc = prog.Gather(acc, src, s.state.get(src), float64(vals[i]), g)
-					}
-				} else {
-					for _, src := range srcs {
-						acc = prog.Gather(acc, src, s.state.get(src), 1, g)
-					}
-				}
-				old := s.state.get(v)
-				nv := prog.Apply(v, acc, old, g)
-				if nv != old {
-					updates = append(updates, comm.Update{ID: v, Value: nv})
-				}
+				updates = s.updateRow(t, v, updates)
 			}
 			out.gathered = int64(len(t.Col))
 		}
@@ -1778,8 +1757,6 @@ func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScrat
 // so the update list comes out in the same order as the dense sweep's. It
 // returns the extended update list and the number of edges gathered.
 func (s *server) gatherActive(t *csr.Tile, updates []comm.Update) ([]comm.Update, int64) {
-	g := s.graph
-	prog := s.prog
 	bits := s.frontier.bits
 	row, col := t.Row, t.Col
 	var gathered int64
@@ -1792,29 +1769,25 @@ func (s *server) gatherActive(t *csr.Tile, updates []comm.Update) ([]comm.Update
 		for row[r+1] <= uint32(i) {
 			r++
 		}
+		updates = s.updateRow(t, t.TargetLo+uint32(r), updates)
 		lo, hi := row[r], row[r+1]
-		v := t.TargetLo + uint32(r)
-		srcs := col[lo:hi]
-		acc := prog.InitAccum()
-		if t.Val != nil {
-			vals := t.Val[lo:hi]
-			for j, src := range srcs {
-				acc = prog.Gather(acc, src, s.state.get(src), float64(vals[j]), g)
-			}
-		} else {
-			for _, src := range srcs {
-				acc = prog.Gather(acc, src, s.state.get(src), 1, g)
-			}
-		}
-		old := s.state.get(v)
-		nv := prog.Apply(v, acc, old, g)
-		if nv != old {
-			updates = append(updates, comm.Update{ID: v, Value: nv})
-		}
 		gathered += int64(hi - lo)
 		i = int(hi)
 	}
 	return updates, gathered
+}
+
+// updateRow is the row body both sweeps share: one Gather over all of target
+// v's in-edges in t, one Apply, and an update appended to updates when the
+// value changed.
+func (s *server) updateRow(t *csr.Tile, v uint32, updates []comm.Update) []comm.Update {
+	srcs, w := t.InEdges(v)
+	acc := s.prog.Gather(srcs, w, s.state, s.graph)
+	old := s.state.Get(v)
+	if nv := s.prog.Apply(v, acc, old, s.graph); nv != old {
+		updates = append(updates, comm.Update{ID: v, Value: nv})
+	}
+	return updates
 }
 
 // collectResult assembles the final value vector on the coordinator. Under
@@ -1857,7 +1830,7 @@ func (s *server) collectResult() error {
 		for _, meta := range s.metas {
 			ups := make([]comm.Update, 0, meta.hi-meta.lo)
 			for v := meta.lo; v < meta.hi; v++ {
-				ups = append(ups, comm.Update{ID: v, Value: s.state.get(v)})
+				ups = append(ups, comm.Update{ID: v, Value: s.state.Get(v)})
 			}
 			batch := comm.Batch{TileID: uint32(meta.id), Lo: meta.lo, Hi: meta.hi, Updates: ups}
 			if s.sender != nil {
@@ -1897,7 +1870,7 @@ func (s *server) collectResult() error {
 	} else {
 		for _, meta := range s.metas {
 			for v := meta.lo; v < meta.hi; v++ {
-				s.result.Values[v] = s.state.get(v)
+				s.result.Values[v] = s.state.Get(v)
 			}
 		}
 		err := s.recvCount(s.total-len(s.metas), func(from int, m []byte) error {

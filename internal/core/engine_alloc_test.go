@@ -24,9 +24,12 @@ type smoothProg struct{}
 
 func (smoothProg) Name() string                         { return "smooth" }
 func (smoothProg) InitValue(v uint32, g *Graph) float64 { return float64(v%17) + 1 }
-func (smoothProg) InitAccum() float64                   { return 0 }
-func (smoothProg) Gather(acc float64, src uint32, srcVal, w float64, g *Graph) float64 {
-	return acc + srcVal*w
+func (smoothProg) Gather(srcs []uint32, w []float32, vals *Replicas, g *Graph) float64 {
+	acc := 0.0
+	for i, src := range srcs {
+		acc += vals.Get(src) * edgeValue(w, i)
+	}
+	return acc
 }
 func (smoothProg) Apply(v uint32, acc, old float64, g *Graph) float64 {
 	return old*0.5 + acc*0.25 + 0.125

@@ -7,3 +7,15 @@ func (se *Session) AdmissionPaused() bool {
 	defer se.sched.mu.Unlock()
 	return se.sched.paused > 0
 }
+
+// edgeValue is edge i's value in a Gather row's edge values: w[i], or 1 when
+// w is nil (an unweighted graph). The test programs fold with it.
+func edgeValue(w []float32, i int) float64 {
+	if w == nil {
+		return 1
+	}
+	return float64(w[i])
+}
+
+// EdgeValue exports edgeValue to the external test package.
+var EdgeValue = edgeValue

@@ -27,9 +27,12 @@ func (minPlus) InitValue(v uint32, g *Graph) float64 {
 	}
 	return Inf
 }
-func (minPlus) InitAccum() float64 { return Inf }
-func (minPlus) Gather(acc float64, src uint32, srcVal, w float64, g *Graph) float64 {
-	return min(acc, srcVal+w)
+func (minPlus) Gather(srcs []uint32, w []float32, vals *Replicas, g *Graph) float64 {
+	acc := Inf
+	for i, src := range srcs {
+		acc = min(acc, vals.Get(src)+edgeValue(w, i))
+	}
+	return acc
 }
 func (minPlus) Apply(v uint32, acc, old float64, g *Graph) float64 { return min(acc, old) }
 
@@ -304,19 +307,33 @@ func TestRunStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessTile measures one tile's gather+apply+encode on a
-// 4096-edge grid tile: the dense row loop (the frontier is unknown, as on
-// PageRank's path) beside the selective scan at 1, 32 and 1024 active
-// sources. ns/edge divides by the tile's edge count in every case, so the
-// sparse rows read as "cost of serving this frontier, per edge of tile".
+// rankProg is PageRank's shape (package apps cannot be imported from
+// in-package tests): each row sums Get(src)/OutDeg[src].
+type rankProg struct{}
+
+func (rankProg) Name() string                         { return "rank" }
+func (rankProg) InitValue(v uint32, g *Graph) float64 { return 1 / float64(g.NumVertices) }
+func (rankProg) Gather(srcs []uint32, w []float32, vals *Replicas, g *Graph) float64 {
+	acc := 0.0
+	for _, src := range srcs {
+		acc += vals.Get(src) / float64(g.OutDeg[src])
+	}
+	return acc
+}
+func (rankProg) Apply(v uint32, acc, old float64, g *Graph) float64 {
+	return 0.15/float64(g.NumVertices) + 0.85*acc
+}
+
+// BenchmarkProcessTile measures one tile's gather+apply+encode: on a
+// 4096-edge grid tile, the dense row loop (the frontier is unknown) beside
+// the selective scan at 1, 32 and 1024 active sources; and dense-pagerank,
+// the dense loop of a PageRank-shaped program on a 16384-edge RMAT tile —
+// pr-mem's inner loop. ns/edge divides by the tile's edge count in every
+// case, so the sparse rows read as "cost of serving this frontier, per edge
+// of tile".
 func BenchmarkProcessTile(b *testing.B) {
-	_, p := gridPartition(b, 100, 4096)
-	sv, encOpts, cleanup := newServerOn(b, p, minPlus{}, nil, false)
-	defer cleanup()
-	k := len(sv.metas) / 2
-	meta := sv.metas[k]
-	scr := sv.scratch[0]
-	run := func(b *testing.B) {
+	run := func(b *testing.B, p *tile.Partition, sv *server, encOpts comm.Options, k int) {
+		scr := sv.scratch[0]
 		if out := sv.processTile(k, 1, encOpts, scr); out.err != nil { // warm: load the tile
 			b.Fatal(out.err)
 		}
@@ -328,12 +345,18 @@ func BenchmarkProcessTile(b *testing.B) {
 				b.Fatal(out.err)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Tiles[meta.id].NumEdges()), "ns/edge")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Tiles[sv.metas[k].id].NumEdges()), "ns/edge")
 		b.ReportMetric(float64(edges), "gathered")
 	}
+
+	_, p := gridPartition(b, 100, 4096)
+	sv, encOpts, cleanup := newServerOn(b, p, minPlus{}, nil, false)
+	defer cleanup()
+	k := len(sv.metas) / 2
+	meta := sv.metas[k]
 	b.Run("dense", func(b *testing.B) {
 		sv.frontier.reset()
-		run(b)
+		run(b, p, sv, encOpts, k)
 	})
 	for _, actives := range []int{1, 32, 1024} {
 		b.Run(fmt.Sprintf("sparse-%d", actives), func(b *testing.B) {
@@ -348,7 +371,17 @@ func BenchmarkProcessTile(b *testing.B) {
 			if !sv.frontier.sparse() {
 				b.Fatalf("%d actives of %d vertices is not a sparse frontier", actives, sv.graph.NumVertices)
 			}
-			run(b)
+			run(b, p, sv, encOpts, k)
 		})
 	}
+
+	b.Run("dense-pagerank", func(b *testing.B) {
+		rmat, err := tile.Split(graph.GenerateRMAT(graph.DefaultRMAT(), 1<<16, 1<<19, 3), tile.Options{TileSize: 1 << 14})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sv, encOpts, cleanup := newServerOn(b, rmat, rankProg{}, nil, false)
+		defer cleanup()
+		run(b, rmat, sv, encOpts, len(sv.metas)/2)
+	})
 }

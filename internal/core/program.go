@@ -46,7 +46,10 @@ type Graph struct {
 
 // Program is a GAB vertex program (§III-C-2). GraphH "only requires users
 // to implement the gather and apply functions", plus the initializer that
-// Algorithms 6 and 7 call initial_vertex_states.
+// Algorithms 6 and 7 call initial_vertex_states. Gather here works on a
+// whole row: the engine calls it once per target vertex with all of that
+// vertex's in-edges in the current tile, and the program folds them itself,
+// so the per-edge work runs without an interface call per edge.
 //
 // Implementations must be pure functions of their arguments: the engine
 // invokes them concurrently from many workers on many simulated servers.
@@ -56,7 +59,7 @@ type Graph struct {
 // in the previous superstep — neither when it skips the vertex's whole tile
 // nor when it gathers a loaded tile selectively — and leaves its value as it
 // is. A program must therefore satisfy, for every vertex v and accumulator
-// acc built from unchanged inputs,
+// acc = Gather(...) over unchanged source values,
 //
 //	Apply(v, acc, Apply(v, acc, old)) == Apply(v, acc, old)
 //
@@ -73,13 +76,15 @@ type Program interface {
 	Name() string
 	// InitValue returns the initial value of vertex v.
 	InitValue(v uint32, g *Graph) float64
-	// InitAccum is the gather identity element (0 for PageRank's sum,
-	// +Inf for SSSP's min).
-	InitAccum() float64
-	// Gather folds one in-edge (src, v) into the accumulator. srcVal is the
-	// current value of the source replica, w the edge value (1 on
-	// unweighted graphs).
-	Gather(acc float64, src uint32, srcVal float64, w float64, g *Graph) float64
+	// Gather folds every in-edge of one target vertex and returns the
+	// accumulator. srcs are the edges' sources in tile order; w[i] is edge
+	// i's value, and w is nil on an unweighted graph, where every edge value
+	// is 1. vals.Get(src) is the current value of the source replica. The
+	// fold starts from the program's own identity (0 for PageRank's sum,
+	// +Inf for SSSP's min), which is also what an empty row returns, and
+	// must visit the edges in the order given: that order is what keeps
+	// results bit-identical across server counts and runs.
+	Gather(srcs []uint32, w []float32, vals *Replicas, g *Graph) float64
 	// Apply combines the accumulator with the vertex's previous value and
 	// returns the updated value. The engine broadcasts the result only if
 	// it differs from the previous value.
@@ -107,22 +112,26 @@ func (p ReplicationPolicy) String() string {
 	return "all-in-all"
 }
 
-// vertexState holds one server's vertex replicas. With the AllInAll policy
-// index is nil and values[v] is vertex v's replica; with OnDemand only
-// member vertices have slots and every access goes through the index.
-type vertexState struct {
+// Replicas holds one server's vertex replicas — the values a program's
+// Gather reads through Get. With the AllInAll policy index is nil and
+// values[v] is vertex v's replica; with OnDemand only member vertices have
+// slots and every access goes through the index.
+type Replicas struct {
 	values []float64
 	index  map[uint32]uint32 // nil for AllInAll
 }
 
-func newAllInAllState(n uint32) *vertexState {
-	return &vertexState{values: make([]float64, n)}
+// NewReplicas returns All-in-All replicas over values: values[v] is vertex
+// v's replica. Outside the engine it lets a program's Gather be run on
+// chosen source values.
+func NewReplicas(values []float64) *Replicas {
+	return &Replicas{values: values}
 }
 
 // newOnDemandState builds the member set from the vertices the server
 // actually touches: all sources and targets of its assigned tiles.
-func newOnDemandState(members []uint32) *vertexState {
-	s := &vertexState{
+func newOnDemandState(members []uint32) *Replicas {
+	s := &Replicas{
 		values: make([]float64, len(members)),
 		index:  make(map[uint32]uint32, len(members)),
 	}
@@ -133,7 +142,7 @@ func newOnDemandState(members []uint32) *vertexState {
 }
 
 // has reports whether the server holds a replica of v.
-func (s *vertexState) has(v uint32) bool {
+func (s *Replicas) has(v uint32) bool {
 	if s.index == nil {
 		return v < uint32(len(s.values))
 	}
@@ -141,9 +150,10 @@ func (s *vertexState) has(v uint32) bool {
 	return ok
 }
 
-// get returns v's replica value. The caller must ensure membership; with
-// AllInAll every vertex is a member.
-func (s *vertexState) get(v uint32) float64 {
+// Get returns v's replica value — the source values a Gather folds. The
+// caller must ensure membership: with AllInAll every vertex is a member, and
+// with OnDemand every source and target of the server's tiles is.
+func (s *Replicas) Get(v uint32) float64 {
 	if s.index == nil {
 		return s.values[v]
 	}
@@ -151,7 +161,7 @@ func (s *vertexState) get(v uint32) float64 {
 }
 
 // set overwrites v's replica value if the server holds one.
-func (s *vertexState) set(v uint32, val float64) {
+func (s *Replicas) set(v uint32, val float64) {
 	if s.index == nil {
 		s.values[v] = val
 		return
@@ -162,13 +172,13 @@ func (s *vertexState) set(v uint32, val float64) {
 }
 
 // numSlots returns the number of replicas stored.
-func (s *vertexState) numSlots() int { return len(s.values) }
+func (s *Replicas) numSlots() int { return len(s.values) }
 
 // memoryBytes returns the analytic footprint of the state using the paper's
 // accounting (§IV-A): AllInAll spends Size(Vertex,Msg) = 8-byte value +
 // 8-byte message slot per vertex; OnDemand additionally pays a 4-byte id
 // plus a 4-byte slot per member for the index.
-func (s *vertexState) memoryBytes() int64 {
+func (s *Replicas) memoryBytes() int64 {
 	per := int64(16)
 	if s.index != nil {
 		per += 8

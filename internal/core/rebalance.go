@@ -324,7 +324,7 @@ func (s *server) admitTile(id int, body []byte) error {
 	// Atomic replace: in a multi-tenant session a sibling job's runner may be
 	// reading this very blob name (loadTile runs outside recoverMu), and a
 	// truncate-then-write would hand it a short or empty file.
-	if err := s.store.WriteAtomic(tileBlobName(id), body); err != nil {
+	if err := s.store.Write(tileBlobName(id), body); err != nil {
 		return fmt.Errorf("core: server %d persisting migrated tile %d: %w", s.node.ID(), id, err)
 	}
 	meta := s.newTileMeta(id, &tl, len(body))

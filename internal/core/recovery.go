@@ -389,7 +389,7 @@ func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool,
 		if step != restore {
 			return false, fmt.Errorf("core: server %d streamed checkpoint encodes step %d, want %d", me, step, restore)
 		}
-		if err := s.store.WriteAtomic(s.ckptName(restore), blob); err != nil {
+		if err := s.store.Write(s.ckptName(restore), blob); err != nil {
 			return false, fmt.Errorf("core: server %d persisting streamed checkpoint for step %d: %w", me, restore, err)
 		}
 		if ln := len(s.ckptSteps); ln == 0 || s.ckptSteps[ln-1] != restore {

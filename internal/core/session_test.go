@@ -28,9 +28,12 @@ type driftProg struct{}
 
 func (driftProg) Name() string                         { return "drift" }
 func (driftProg) InitValue(v uint32, g *Graph) float64 { return float64(v%13) + 1 }
-func (driftProg) InitAccum() float64                   { return 0 }
-func (driftProg) Gather(acc float64, src uint32, srcVal, w float64, g *Graph) float64 {
-	return acc + srcVal*w
+func (driftProg) Gather(srcs []uint32, w []float32, vals *Replicas, g *Graph) float64 {
+	acc := 0.0
+	for i, src := range srcs {
+		acc += vals.Get(src) * EdgeValue(w, i)
+	}
+	return acc
 }
 func (driftProg) Apply(v uint32, acc, old float64, g *Graph) float64 {
 	return old*0.5 + acc*0.25 + 0.125

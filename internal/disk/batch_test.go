@@ -331,7 +331,7 @@ func TestFDCacheInvalidation(t *testing.T) {
 	if got, _ := s.Read("a"); string(got) != "old" {
 		t.Fatalf("read %q", got)
 	}
-	if err := s.WriteAtomic("a", []byte("new!")); err != nil {
+	if err := s.Write("a", []byte("new!")); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := s.Read("a"); err != nil || string(got) != "new!" {

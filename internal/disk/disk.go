@@ -101,6 +101,9 @@ type Store struct {
 	fds   map[string]*cachedFile
 	fdLRU *list.List // front = most recently read
 	fdCap int
+	// writeGen counts completed Writes. A handle opened while one completed
+	// may be the replaced blob's, so openRead serves its read uncached.
+	writeGen atomic.Int64
 }
 
 // cachedFile is one cached read handle with its (immutable-until-rewritten)
@@ -187,6 +190,7 @@ func (s *Store) openRead(name string) (*cachedFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	gen := s.writeGen.Load()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -206,6 +210,13 @@ func (s *Store) openRead(name string) (*cachedFile, error) {
 		s.fdMu.Unlock()
 		f.Close()
 		return prev, nil
+	}
+	if s.writeGen.Load() != gen {
+		// A Write completed since the open: f may be the replaced blob. It
+		// is still whole, so serve this read from it, but cache nothing.
+		cf.refs = 1
+		s.fdMu.Unlock()
+		return cf, nil
 	}
 	if len(s.fds) >= s.fdCap {
 		if back := s.fdLRU.Back(); back != nil {
@@ -321,7 +332,12 @@ func (s *Store) path(name string) (string, error) {
 	return filepath.Join(s.dir, name), nil
 }
 
-// Write stores data under name, replacing any previous blob.
+// Write stores data under name, replacing any previous blob, with
+// all-or-nothing visibility: the bytes go to a temporary file in the same
+// directory which is then renamed over the destination. A crash mid-write
+// leaves either the old blob or the new one, never a torn mix — so a failure
+// during checkpointing cannot destroy the previous checkpoint — and a reader
+// racing a rewrite sees one whole blob or the other.
 func (s *Store) Write(name string, data []byte) error {
 	if err := s.checkFail("write", name); err != nil {
 		return err
@@ -330,53 +346,34 @@ func (s *Store) Write(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(p); dir != s.dir {
+	dir := filepath.Dir(p)
+	if dir != s.dir {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("disk: mkdir for %q: %w", name, err)
 		}
 	}
-	s.invalidate(name)
 	s.beginOp()
 	defer s.endOp()
 	s.reserve(len(data), s.cfg.WriteBandwidth, 0)
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		return fmt.Errorf("disk: writing %q: %w", name, err)
-	}
-	s.writeBytes.Add(int64(len(data)))
-	s.writeOps.Add(1)
-	return nil
-}
-
-// WriteAtomic stores data under name with all-or-nothing visibility: the
-// bytes go to a temporary file in the same directory which is then renamed
-// over the destination. A crash mid-write leaves either the old blob or the
-// new one, never a torn mix — the property checkpoint blobs need so that a
-// failure during checkpointing cannot destroy the previous checkpoint.
-func (s *Store) WriteAtomic(name string, data []byte) error {
-	if err := s.checkFail("write", name); err != nil {
-		return err
-	}
-	p, err := s.path(name)
+	tmp, err := os.CreateTemp(dir, filepath.Base(p)+".tmp*")
 	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(p); dir != s.dir {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("disk: mkdir for %q: %w", name, err)
-		}
-	}
-	s.invalidate(name)
-	s.beginOp()
-	defer s.endOp()
-	s.reserve(len(data), s.cfg.WriteBandwidth, 0)
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("disk: writing %q: %w", name, err)
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("disk: committing %q: %w", name, err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("disk: writing %q: %w", name, err)
+	}
+	// Drop the handle of the replaced blob, and keep any read that opened it
+	// before the rename from caching it (openRead checks writeGen).
+	s.writeGen.Add(1)
+	s.invalidate(name)
 	s.writeBytes.Add(int64(len(data)))
 	s.writeOps.Add(1)
 	return nil

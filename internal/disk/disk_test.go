@@ -3,7 +3,9 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -203,11 +205,11 @@ func TestFailureInjectionCoversEveryOp(t *testing.T) {
 	if err := s.Write("w", []byte("x")); !errors.Is(err, boom) {
 		t.Fatalf("Write ignored the hook: %v", err)
 	}
-	if err := s.WriteAtomic("w", []byte("x")); !errors.Is(err, boom) {
-		t.Fatalf("WriteAtomic ignored the hook: %v", err)
+	if err := s.Write("seed", []byte("torn")); !errors.Is(err, boom) {
+		t.Fatalf("Write over an existing blob ignored the hook: %v", err)
 	}
 	if s.Exists("w") {
-		t.Fatal("failed writes left a blob behind")
+		t.Fatal("a failed write left a blob behind")
 	}
 
 	failOp = "read"
@@ -237,6 +239,9 @@ func TestFailureInjectionCoversEveryOp(t *testing.T) {
 	if !s.Exists("seed") {
 		t.Fatal("faulted Remove actually removed the blob")
 	}
+	if got, err := s.Read("seed"); err != nil || string(got) != "x" {
+		t.Fatalf("faulted rewrite changed the blob: %q, %v", got, err)
+	}
 	for _, want := range []string{"write", "read", "remove", "exists", "list"} {
 		found := false
 		for _, op := range calls {
@@ -248,5 +253,58 @@ func TestFailureInjectionCoversEveryOp(t *testing.T) {
 		if !found {
 			t.Fatalf("hook never saw op %q (saw %v)", want, calls)
 		}
+	}
+}
+
+// TestWriteRacingReader: readers that race rewrites of one name always see a
+// whole blob — the replaced one or its successor, never a torn or short mix,
+// even through the descriptor cache — and the last blob once writes stop.
+func TestWriteRacingReader(t *testing.T) {
+	s := newTestStore(t, Config{MaxCachedFDs: 4})
+	// Version i is len(blob(i)) bytes of value i: fill and length agree only
+	// for a whole blob.
+	blob := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1000+i*397%4000) }
+	const versions = 200
+	if err := s.Write("b", blob(0)); err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for !done.Load() {
+				got, err := s.ReadInto("b", buf[:0])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(got) == 0 || !bytes.Equal(got, blob(int(got[0]))) {
+					errs <- fmt.Errorf("read a torn or short blob of %d bytes", len(got))
+					return
+				}
+				buf = got
+			}
+		}()
+	}
+	for i := 1; i <= versions; i++ {
+		if err := s.Write("b", blob(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, err := s.Read("b"); err != nil || !bytes.Equal(got, blob(versions)) {
+		t.Fatalf("read after the last rewrite: %d bytes, %v", len(got), err)
+	}
+	if names, err := s.List(""); err != nil || len(names) != 1 {
+		t.Fatalf("rewrites left temporary files behind: %v, %v", names, err)
 	}
 }
