@@ -47,22 +47,26 @@ smoke-daemon:
 
 # chaos runs the fault-injection and crash-recovery suite under the race
 # detector: the crash-at-every-superstep sweep (serial and with two
-# concurrent jobs in flight), the kill-then-rejoin elastic-membership
-# sweep, the multi-tenant join's admission pause, hang detection, wire drop/duplicate tolerance, session death
-# semantics and the disk failure hooks. Every test asserts recovered
-# results are bit-identical to the fault-free run.
+# concurrent jobs in flight), the step rows a recovered job keeps, the
+# kill-then-rejoin sweep (the job finishes without the server, the next job
+# runs with it back), the join's admission pause in serial and multi-tenant
+# sessions, the abandoned receive a recovery settles, hang detection, wire
+# drop/duplicate tolerance, session death semantics and the disk failure
+# hooks. Every test asserts recovered results are bit-identical to the
+# fault-free run.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Recovery|Fault|Wire|Kill|Checkpoint|SessionRecovers|SessionDead|AllServersDie|Rejoin|JoinBetweenJobs|JoinValidation|JoinPausesAdmission|CloseWithJoinPending|JobBarrierNoLeak' \
+		-run 'Recovery|Fault|Wire|Kill|Checkpoint|SessionRecovers|SessionDead|AllServersDie|Rejoin|JoinBetweenJobs|JoinWhileSerialJobRuns|JoinValidation|JoinPausesAdmission|CloseWithJoinPending|JobBarrierNoLeak|StepCrew' \
 		./internal/core/ ./internal/disk/ .
 
-# flake repeats the multi-job chaos tests a hundred times each, without and
-# with the race detector (the schedules differ): the crash sweep and the
-# between-jobs rejoin with two jobs in flight, the session-killing disk
-# fault, and the shared-sweep tile loads. Each once failed a run in tens to
-# hundreds — a torn tile read, a second runner voting in a rejoined rank's
-# barrier slot, jobs that never overlapped — so any failure is a regression.
-FLAKE_TESTS = TestMultiJobCrashRecoverySweep|TestMultiJobRejoin|TestMultiJobSessionDead|TestMultiJobSharedLoads
+# flake repeats the chaos tests that once flaked a hundred times each,
+# without and with the race detector (the schedules differ): the multi-job
+# crash sweep, the between-jobs rejoin sweeps (serial and with two jobs in
+# flight), the session-killing disk fault, and the shared-sweep tile loads.
+# Each once failed a run in tens to hundreds — a torn tile read, a second
+# runner voting in a rejoined rank's barrier slot, jobs that never
+# overlapped, a lockstep rejoin schedule — so any failure is a regression.
+FLAKE_TESTS = TestMultiJobCrashRecoverySweep|TestMultiJobRejoin|TestRejoinSweep|TestMultiJobSessionDead|TestMultiJobSharedLoads
 
 flake:
 	$(GO) test -count=100 -run '$(FLAKE_TESTS)' ./internal/core/
@@ -145,6 +149,5 @@ fuzz-ci:
 	$(GO) test ./internal/comm/ -run xxx -fuzz FuzzDecodeInto -fuzztime 10s
 	$(GO) test ./internal/comm/ -run xxx -fuzz FuzzDecodeJobFrame -fuzztime 10s
 	$(GO) test ./internal/core/ -run xxx -fuzz FuzzDecodeRebalance -fuzztime 10s
-	$(GO) test ./internal/core/ -run xxx -fuzz FuzzDecodeJoinFrame -fuzztime 10s
 	$(GO) test ./internal/disk/ -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 10s
 	$(GO) test ./api/ -run xxx -fuzz FuzzDecodeJobRequest -fuzztime 10s

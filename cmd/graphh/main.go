@@ -284,7 +284,7 @@ func printJob(name string, res *graphh.Result, first bool, top int) {
 		}
 	}
 	if joins > 0 {
-		fmt.Printf("membership: %d rejoin(s) admitted mid-run; epoch %d at job end\n",
+		fmt.Printf("membership: %d rejoin(s) admitted between jobs; epoch %d at job end\n",
 			joins, membershipEpoch)
 	}
 	var pfIssued, pfHits, pfWasted, queueHW int64

@@ -187,9 +187,10 @@ type (
 	// Kill crashes (or hangs) one server at one superstep.
 	Kill = core.Kill
 	// Rejoin scripts a dead server's elastic-membership comeback: at the
-	// start of the given superstep the join controller runs the full rejoin
-	// protocol — handshake, admission at the step edge, checkpoint and tile
-	// restoration, replay. See docs/ARCHITECTURE.md, "Elastic membership".
+	// start of the given superstep the join controller requests the join,
+	// exactly as Session.Join. The job in flight finishes without the
+	// server, and it serves from the next Submit. See docs/ARCHITECTURE.md,
+	// "Elastic membership".
 	Rejoin = core.Rejoin
 	// DiskFault fails one server's n-th disk operation of a given kind.
 	DiskFault = core.DiskFault
@@ -231,12 +232,6 @@ var (
 	// MaxConcurrentJobs jobs are running and the admission queue is at
 	// capacity. Nothing was enqueued; retry later or raise MaxQueuedJobs.
 	ErrJobQueueFull = core.ErrJobQueueFull
-	// ErrJoinTimeout marks a Session.Join whose handshake was never
-	// admitted by a live server before the deadline.
-	ErrJoinTimeout = core.ErrJoinTimeout
-	// ErrJoinRejected marks a join the admitting server refused — in
-	// practice a handshake version mismatch.
-	ErrJoinRejected = core.ErrJoinRejected
 )
 
 // LoadCSV reads a tab/space-separated edge list ("src dst [weight]"; # and %
@@ -548,20 +543,12 @@ func (s *Session) Submit(ctx context.Context, prog Program, ro RunOptions) (*Res
 // Join returns once the server is a live member again; joining a live rank
 // is a no-op.
 //
-// In a serial session the joiner handshakes over the cluster's control
-// plane, is admitted at a superstep edge, and is folded back in through the
-// recovery protocol — streamed the newest consistent checkpoint by a donor
-// when a job is in flight, or simply reclaiming its persisted base tiles
-// when the session is idle. Mid-job admission requires checkpointing
-// (Options.CheckpointEvery) and All-in-All replication. Cancelling ctx
-// abandons the handshake.
-//
-// A multi-tenant session (Options.MaxConcurrentJobs > 1) admits the server
-// only between jobs: Join pauses job admission, the jobs in flight finish
-// without the server (listing it in Result.DeadServers), and it serves from
-// the next job on. The wait lasts as long as the longest job in flight and
-// ends early only when ctx is cancelled or the session is closed; admission
-// resumes either way.
+// The server is admitted only between jobs: Join pauses job admission, the
+// jobs in flight finish without the server (listing it in
+// Result.DeadServers), and it serves from the next job on, reclaiming its
+// persisted base tiles. The wait lasts as long as the longest job in flight
+// and ends early only when ctx is cancelled or the session is closed;
+// admission resumes either way.
 func (s *Session) Join(ctx context.Context, server int) error { return s.s.Join(ctx, server) }
 
 // Close tears the session down: job loops exit, the cluster closes, and

@@ -59,15 +59,17 @@ var ErrRecvStall = errors.New("cluster: receive stalled past failure-detection t
 // names the rank and the membership epoch.
 var ErrDuplicateVote = errors.New("cluster: duplicate barrier vote")
 
+// ErrBarrierBroken is returned by the voteless barriers (BarrierErr,
+// JobBarrierErr) once the cluster has aborted: the barrier is broken and
+// nobody is synchronized with anybody. It matches ErrClosed under
+// errors.Is, so root-cause selection treats it as shutdown noise. The vote
+// forms keep reporting an abort as a unanimous true vote.
+var ErrBarrierBroken = fmt.Errorf("cluster: barrier broken: %w", ErrClosed)
+
 // errCancelled is returned by the transports' recv when the caller's cancel
 // channel fires before a message arrives. It never escapes the package:
 // the ctx-aware Node methods translate it to the context's own error.
 var errCancelled = errors.New("cluster: recv cancelled")
-
-// ctlQueueCap bounds each node's control queue. Control traffic is a
-// handshake trickle; an overflowing queue simply drops the frame and the
-// retrying joiner resends.
-const ctlQueueCap = 16
 
 // TransportKind selects the communication substrate.
 type TransportKind int
@@ -151,15 +153,6 @@ type message struct {
 	from    int
 	payload []byte
 	pool    *[]byte
-	// ctl marks an out-of-band control frame — the membership control
-	// plane. Carried beside the payload, never inside it: a data payload is
-	// caller-owned bytes and any in-band magic would alias it. Control
-	// frames bypass the liveness filters on both ends: a dead (rejoining)
-	// node must be able to reach the live coordinator, and the
-	// coordinator's accept must reach a node that is not (yet) a member.
-	// recvMsgStall diverts them into a per-node control queue before the
-	// dead-sender filter, so they never surface on the data path.
-	ctl bool
 }
 
 // transport is the substrate interface shared by Inproc and TCP. recv
@@ -173,10 +166,6 @@ type message struct {
 // queued frames are still meaningful.
 type transport interface {
 	send(from, to int, payload []byte) error
-	// sendCtl is send with the message's ctl flag set — the marker travels
-	// out-of-band (a channel field inproc, a header bit on TCP), so data
-	// payloads stay opaque bytes with no reserved values.
-	sendCtl(from, to int, payload []byte) error
 	recv(node int, cancel, memb <-chan struct{}, stall <-chan time.Time) (message, error)
 	close() error
 }
@@ -277,18 +266,6 @@ type Cluster struct {
 	epochCh  atomic.Value // chan struct{}
 	membMu   sync.Mutex
 
-	// ctlQ holds each node's diverted control frames (ctlMagic), pushed by
-	// whichever receive loop pulls them off the transport and drained by
-	// CtlPoll.
-	ctlQ []chan []byte
-
-	// stash holds data frames a CtlProbe pulled off the transport while
-	// hunting for control frames; recvMsgStall re-consumes them in FIFO
-	// order before touching the transport again, so a probe never loses or
-	// reorders ordinary traffic.
-	stashMu []sync.Mutex
-	stash   [][]message
-
 	// wireHook, when set, vets every outbound cross-node frame — the
 	// fault-injection hook. Called from transport-writing goroutines, so it
 	// must be safe for concurrent use.
@@ -325,13 +302,7 @@ func New(cfg Config) (*Cluster, error) {
 		netBusy:  make([]time.Time, cfg.NumNodes),
 		alive:    make([]atomic.Bool, cfg.NumNodes),
 		acked:    make([]atomic.Uint64, cfg.NumNodes),
-		ctlQ:     make([]chan []byte, cfg.NumNodes),
-		stashMu:  make([]sync.Mutex, cfg.NumNodes),
-		stash:    make([][]message, cfg.NumNodes),
 		jobBars:  make(map[uint32]*reusableBarrier),
-	}
-	for i := range c.ctlQ {
-		c.ctlQ[i] = make(chan []byte, ctlQueueCap)
 	}
 	for i := range c.alive {
 		c.alive[i].Store(true)
@@ -450,17 +421,6 @@ func (c *Cluster) declareJoined(rank int) {
 	}
 	c.membMu.Unlock()
 	close(old)
-}
-
-// pushCtl enqueues a diverted control frame for node (payload copied out of
-// the pooled receive buffer). Drops when the queue is full — control
-// protocols are retried, never counted.
-func (c *Cluster) pushCtl(node int, payload []byte) {
-	cp := append([]byte(nil), payload...)
-	select {
-	case c.ctlQ[node] <- cp:
-	default:
-	}
 }
 
 // jobBarrier returns the barrier for job, creating it on first use with the
@@ -666,22 +626,9 @@ func (n *Node) recvMsgStall(cancel <-chan struct{}, stall <-chan time.Time) (mes
 		if n.c.epochAt.Load() != n.c.acked[n.id].Load() {
 			return message{}, ErrMembershipChanged
 		}
-		m, ok := n.takeStashed()
-		if !ok {
-			var err error
-			m, err = n.c.tr.recv(n.id, cancel, membCh, stall)
-			if err != nil {
-				return message{}, err
-			}
-		}
-		if m.ctl {
-			// Divert control frames before the dead-sender filter: a join
-			// request legitimately comes from a dead rank. The payload is
-			// copied because the backing buffer is pooled; a full queue drops
-			// the frame (the joiner retries).
-			n.c.pushCtl(n.id, m.payload)
-			putWireBuf(m.pool)
-			continue
+		m, err := n.c.tr.recv(n.id, cancel, membCh, stall)
+		if err != nil {
+			return message{}, err
 		}
 		if !n.c.alive[m.from].Load() {
 			putWireBuf(m.pool)
@@ -825,11 +772,10 @@ func (n *Node) DeclareDead(rank int) {
 }
 
 // DeclareJoined re-admits a dead rank as a live member under a new (grown)
-// membership epoch — the coordinator's verdict after a successful join
-// handshake. Every live node's blocked operations unwind with
-// ErrMembershipChanged until they acknowledge the grown view; the engine
-// folds the newcomer in through the same recovery protocol a death
-// triggers.
+// membership epoch. Every live node's blocked operations unwind with
+// ErrMembershipChanged until they acknowledge the grown view. The engine
+// declares a join only while no job is in flight, so the next job's nodes
+// acknowledge the grown view at its start.
 func (n *Node) DeclareJoined(rank int) {
 	if rank < 0 || rank >= n.c.cfg.NumNodes {
 		return
@@ -839,124 +785,6 @@ func (n *Node) DeclareJoined(rank int) {
 
 // MembershipEpoch returns the cluster's current membership epoch.
 func (n *Node) MembershipEpoch() uint64 { return n.c.MembershipEpoch() }
-
-// CtlSend delivers an out-of-band control frame to node `to`. Control
-// frames bypass the liveness filters, the fault-injection wire hook and the
-// bandwidth model: they are the membership control plane, usable by and
-// toward non-members (a rejoining node handshaking with the coordinator).
-func (n *Node) CtlSend(to int, payload []byte) error {
-	if to < 0 || to >= n.c.cfg.NumNodes {
-		return fmt.Errorf("cluster: node %d sending ctl to invalid node %d", n.id, to)
-	}
-	return n.c.tr.sendCtl(n.id, to, payload)
-}
-
-// CtlPoll drains one pending control frame, or returns nil when none is
-// queued. Live nodes poll at step edges — admission happens at the
-// superstep boundary, never mid-step.
-func (n *Node) CtlPoll() []byte {
-	select {
-	case p := <-n.c.ctlQ[n.id]:
-		return p
-	default:
-		return nil
-	}
-}
-
-// CtlProbe drains every frame already delivered to this node's transport
-// inbox without blocking, diverting control frames into the control queue
-// and stashing ordinary data frames for the next recv (FIFO order is
-// preserved — recvMsgStall consumes the stash before the transport). A
-// live server parked at a superstep edge has no receive loop running on
-// its behalf, so this is how a joiner's handshake frames become visible to
-// its CtlPoll.
-func (n *Node) CtlProbe() {
-	// A pre-fired stall timer makes each recv hand over only a frame that
-	// has already arrived (pending messages win over a stall), and return
-	// ErrRecvStall the moment the inbox is empty.
-	fired := make(chan time.Time, 1)
-	for {
-		// Re-arm every iteration: a recv that grabs a pending message from
-		// inside the stall case consumes the timer value along the way.
-		select {
-		case fired <- time.Time{}:
-		default:
-		}
-		m, err := n.c.tr.recv(n.id, nil, nil, fired)
-		if err != nil {
-			return // inbox empty (or transport closing): nothing to divert
-		}
-		if m.ctl {
-			n.c.pushCtl(n.id, m.payload)
-			putWireBuf(m.pool)
-			continue
-		}
-		n.c.stashMu[n.id].Lock()
-		n.c.stash[n.id] = append(n.c.stash[n.id], m)
-		n.c.stashMu[n.id].Unlock()
-	}
-}
-
-// takeStashed pops the oldest frame a CtlProbe set aside, if any.
-func (n *Node) takeStashed() (message, bool) {
-	n.c.stashMu[n.id].Lock()
-	defer n.c.stashMu[n.id].Unlock()
-	q := n.c.stash[n.id]
-	if len(q) == 0 {
-		return message{}, false
-	}
-	m := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = message{}
-	n.c.stash[n.id] = q[:len(q)-1]
-	return m, true
-}
-
-// CtlRecv blocks until a control frame arrives for this node or the
-// timeout passes (zero blocks on the queue only). A non-member calling it
-// owns its inbox — no data receive loop is running on a dead node — so it
-// drains the transport directly: data frames queued before death are
-// discarded, control frames are diverted into the queue it then drains.
-func (n *Node) CtlRecv(timeout time.Duration) ([]byte, error) {
-	// Fast path: a frame another receive loop already diverted.
-	select {
-	case p := <-n.c.ctlQ[n.id]:
-		return p, nil
-	default:
-	}
-	var stall <-chan time.Time
-	var timer *time.Timer
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		stall = timer.C
-	}
-	for {
-		m, err := n.c.tr.recv(n.id, nil, nil, stall)
-		if err != nil {
-			// A frame may have been diverted by a racing loop before the
-			// stall fired.
-			select {
-			case p := <-n.c.ctlQ[n.id]:
-				return p, nil
-			default:
-			}
-			return nil, err
-		}
-		isCtl := m.ctl
-		if isCtl {
-			n.c.pushCtl(n.id, m.payload)
-		}
-		putWireBuf(m.pool)
-		if isCtl {
-			select {
-			case p := <-n.c.ctlQ[n.id]:
-				return p, nil
-			default:
-			}
-		}
-	}
-}
 
 // AckMembership acknowledges the current membership view, unblocking this
 // node's transport operations after a declaration, and returns the epoch
@@ -999,8 +827,9 @@ func (n *Node) BarrierVote(flag bool) bool {
 // BarrierErr is Barrier with failure detection: it returns
 // ErrMembershipChanged when a member died (or this node was fenced) and the
 // caller must re-acknowledge the view before synchronizing again.
+// A broken (aborted) barrier returns ErrBarrierBroken.
 func (n *Node) BarrierErr() error {
-	_, err := n.BarrierVoteErr(false)
+	_, err := n.barrierVoteOnAcked(n.c.bar, false, n.c.acked[n.id].Load())
 	return err
 }
 
@@ -1010,7 +839,16 @@ func (n *Node) BarrierErr() error {
 // returns ErrMembershipChanged. A broken (aborted) barrier still returns
 // (true, nil), mirroring BarrierVote.
 func (n *Node) BarrierVoteErr(flag bool) (bool, error) {
-	return n.barrierVoteOnAcked(n.c.bar, flag, n.c.acked[n.id].Load())
+	return brokenAsVote(n.barrierVoteOnAcked(n.c.bar, flag, n.c.acked[n.id].Load()))
+}
+
+// brokenAsVote maps a broken barrier onto the vote forms' contract: an
+// aborting cluster looks like a unanimous true vote.
+func brokenAsVote(d bool, err error) (bool, error) {
+	if errors.Is(err, ErrBarrierBroken) {
+		return true, nil
+	}
+	return d, err
 }
 
 // barrierVoteOnAcked runs the vote-with-failure-detection loop against one
@@ -1043,7 +881,14 @@ func (n *Node) barrierVoteOnAcked(b *reusableBarrier, flag bool, acked uint64) (
 // ErrMembershipChanged even when a sibling runner on the same node has
 // already acknowledged the change.
 func (n *Node) JobBarrierVoteEpoch(job uint32, flag bool, acked uint64) (bool, error) {
-	return n.barrierVoteOnAcked(n.c.jobBarrier(job), flag, acked)
+	return brokenAsVote(n.barrierVoteOnAcked(n.c.jobBarrier(job), flag, acked))
+}
+
+// JobBarrierErr is the voteless form of JobBarrierVoteEpoch, the per-job
+// counterpart of BarrierErr: a broken barrier returns ErrBarrierBroken.
+func (n *Node) JobBarrierErr(job uint32, acked uint64) error {
+	_, err := n.barrierVoteOnAcked(n.c.jobBarrier(job), false, acked)
+	return err
 }
 
 // MembershipInterrupt returns a channel closed at the next membership
@@ -1170,9 +1015,9 @@ func newReusableBarrier(n int) *reusableBarrier {
 }
 
 // waitVote blocks until all live parties arrive, then returns the OR of
-// every party's flag. A broken barrier returns (true, nil, nil)
+// every party's flag. A broken barrier returns (true, nil, ErrBarrierBroken)
 // immediately: an aborting cluster must look like a unanimous abort vote to
-// anyone still running. acked is the caller's acknowledged membership
+// anyone still voting, and like a failure to anyone synchronizing. acked is the caller's acknowledged membership
 // epoch; if it lags the barrier's — or lags it by the time the wait ends —
 // the call fails with ErrMembershipChanged. A second arrival by a rank
 // already counted in the filling generation fails with ErrDuplicateVote. With
@@ -1184,7 +1029,7 @@ func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.broken {
-		return true, nil, nil
+		return true, nil, ErrBarrierBroken
 	}
 	if acked != b.epoch || !b.alive[id] {
 		return false, nil, ErrMembershipChanged
@@ -1226,7 +1071,7 @@ func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time
 			b.cond.Wait()
 		}
 		if b.broken {
-			return true, nil, nil
+			return true, nil, ErrBarrierBroken
 		}
 		if gen != b.gen {
 			return b.decision, nil, nil

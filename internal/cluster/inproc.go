@@ -31,14 +31,6 @@ func newInprocTransport(n, capacity int) *inprocTransport {
 }
 
 func (t *inprocTransport) send(from, to int, payload []byte) error {
-	return t.sendMsg(from, to, payload, false)
-}
-
-func (t *inprocTransport) sendCtl(from, to int, payload []byte) error {
-	return t.sendMsg(from, to, payload, true)
-}
-
-func (t *inprocTransport) sendMsg(from, to int, payload []byte, ctl bool) error {
 	select {
 	case <-t.done:
 		return fmt.Errorf("cluster: send: %w", ErrClosed)
@@ -47,7 +39,7 @@ func (t *inprocTransport) sendMsg(from, to int, payload []byte, ctl bool) error 
 	cp, h := getWireBuf(len(payload))
 	copy(cp, payload)
 	select {
-	case t.inboxes[to] <- message{from: from, payload: cp, pool: h, ctl: ctl}:
+	case t.inboxes[to] <- message{from: from, payload: cp, pool: h}:
 		return nil
 	case <-t.done:
 		putWireBuf(h)

@@ -188,6 +188,46 @@ func TestJobBarrierBrokenByAbort(t *testing.T) {
 	}
 }
 
+// TestBarrierErrBroken: once the cluster aborts, the voteless barriers fail
+// with ErrBarrierBroken — for a waiter parked at the time of the abort and
+// for every later arrival, on the main and the per-job barriers — instead
+// of reading as a clean pass. The vote forms keep the abort-is-a-unanimous
+// -true contract.
+func TestBarrierErrBroken(t *testing.T) {
+	c, err := New(Config{NumNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	parked := make(chan error, 1)
+	go func() { parked <- c.Node(0).BarrierErr() }()
+	waitArrived(t, c.bar, 0)
+	c.Abort()
+	select {
+	case err := <-parked:
+		if !errors.Is(err, ErrBarrierBroken) {
+			t.Fatalf("parked BarrierErr after abort: %v, want ErrBarrierBroken", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abort did not release the BarrierErr waiter")
+	}
+	if err := c.Node(1).BarrierErr(); !errors.Is(err, ErrBarrierBroken) {
+		t.Fatalf("BarrierErr after abort: %v, want ErrBarrierBroken", err)
+	}
+	if err := c.Node(1).JobBarrierErr(9, 0); !errors.Is(err, ErrBarrierBroken) {
+		t.Fatalf("JobBarrierErr after abort: %v, want ErrBarrierBroken", err)
+	}
+	if !errors.Is(ErrBarrierBroken, ErrClosed) {
+		t.Fatal("ErrBarrierBroken must match ErrClosed (shutdown noise for root-cause selection)")
+	}
+	if d, err := c.Node(1).BarrierVoteErr(false); err != nil || !d {
+		t.Fatalf("BarrierVoteErr after abort: d=%v err=%v, want true,nil", d, err)
+	}
+	if !c.Node(0).BarrierVote(false) {
+		t.Fatal("BarrierVote after abort must decide true")
+	}
+}
+
 // TestBarrierDuplicateVote: a rank that arrives twice in one generation — two
 // runners voting in one rank's slot — is refused with ErrDuplicateVote
 // instead of being counted twice, and the generation still completes once

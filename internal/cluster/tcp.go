@@ -11,10 +11,7 @@ import (
 
 // tcpTransport connects every node pair with a loopback TCP connection and
 // moves length-prefixed frames: [4-byte big-endian length][4-byte sender
-// rank][payload]. The rank field's high bit marks a control frame (ranks
-// are tiny, so the bit is always free) — the ctl marker must ride the
-// header, not the payload, because payloads are caller-owned opaque bytes.
-// A reader goroutine per connection demultiplexes frames into the
+// rank][payload]. A reader goroutine per connection demultiplexes frames into the
 // destination node's inbox.
 type tcpTransport struct {
 	n         int
@@ -161,16 +158,14 @@ func (t *tcpTransport) readLoop(owner int, conn net.Conn) {
 			return // connection closed
 		}
 		length := binary.BigEndian.Uint32(hdr[0:])
-		rank := binary.BigEndian.Uint32(hdr[4:])
-		from := int(rank &^ tcpCtlBit)
-		ctl := rank&tcpCtlBit != 0
+		from := int(binary.BigEndian.Uint32(hdr[4:]))
 		payload, h := getWireBuf(int(length))
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			putWireBuf(h)
 			return
 		}
 		select {
-		case t.inboxes[owner] <- message{from: from, payload: payload, pool: h, ctl: ctl}:
+		case t.inboxes[owner] <- message{from: from, payload: payload, pool: h}:
 		case <-t.done:
 			putWireBuf(h)
 			return
@@ -178,24 +173,13 @@ func (t *tcpTransport) readLoop(owner int, conn net.Conn) {
 	}
 }
 
-// tcpCtlBit marks a control frame in the wire header's rank field.
-const tcpCtlBit = uint32(1) << 31
-
 func (t *tcpTransport) send(from, to int, payload []byte) error {
-	return t.sendMsg(from, to, payload, false)
-}
-
-func (t *tcpTransport) sendCtl(from, to int, payload []byte) error {
-	return t.sendMsg(from, to, payload, true)
-}
-
-func (t *tcpTransport) sendMsg(from, to int, payload []byte, ctl bool) error {
 	if from == to {
 		// Loopback without a socket, mirroring MPI self-sends.
 		cp, h := getWireBuf(len(payload))
 		copy(cp, payload)
 		select {
-		case t.inboxes[to] <- message{from: from, payload: cp, pool: h, ctl: ctl}:
+		case t.inboxes[to] <- message{from: from, payload: cp, pool: h}:
 			return nil
 		case <-t.done:
 			putWireBuf(h)
@@ -215,11 +199,7 @@ func (t *tcpTransport) sendMsg(from, to int, payload []byte, ctl bool) error {
 	hp := hdrPool.Get().(*[8]byte)
 	hdr := hp[:]
 	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	rank := uint32(from)
-	if ctl {
-		rank |= tcpCtlBit
-	}
-	binary.BigEndian.PutUint32(hdr[4:], rank)
+	binary.BigEndian.PutUint32(hdr[4:], uint32(from))
 	mu := t.writeMu[from][to]
 	mu.Lock()
 	defer mu.Unlock()

@@ -407,18 +407,9 @@ func prepareInput(in Input) (*Graph, int, func(i int) ([]byte, error), error) {
 type nodeShared struct {
 	// dead marks a killed or fenced server: its job loop (and, in a
 	// multi-tenant session, every runner spawned on it) becomes a zombie.
+	// Only a join clears it, under the session's regMu with no job in
+	// flight, so no runner ever sees it clear.
 	dead atomic.Bool
-
-	// Zombie-job ledger for elastic membership: every job this dead node
-	// consumed without running (and every job a runner exited from via
-	// errServerKilled) is recorded here, so the join controller knows which
-	// in-flight jobs need a replacement runner when the node is readmitted.
-	// zMu also fences the dead-flag flip: the controller claims the ledger
-	// and clears dead under the same lock runJob's zombie check holds, so a
-	// job is either claimed for respawn or runs on the normal path — never
-	// both, never neither.
-	zMu     sync.Mutex
-	zombies map[*job]bool
 
 	// joins counts this node's readmissions (elastic membership), a
 	// session-lifetime counter like the I/O totals. It lives here rather
@@ -426,15 +417,11 @@ type nodeShared struct {
 	// runner clones must all observe the node's cumulative count.
 	joins atomic.Int64
 
-	// Quiesce gate for elastic membership: counts the goroutines that may
-	// still be touching this node's per-job server state — the serial job
-	// loop's runJob call, its pipelined receive goroutine (deliberately
-	// unjoined on hard-error exits), and replacement runners. The join
-	// controller waits for the count to drain before reusing the struct
-	// for a replacement, giving the dying runner's writes a happens-before
-	// edge to the rejoined runner's reads. A hand-rolled gate rather than
-	// a sync.WaitGroup: enters may race waits at count zero (a new job can
-	// start while a revive drains the old one), which WaitGroup forbids.
+	// Quiesce gate: counts the serial goroutines that may still touch this
+	// node's per-job server state — runJob and its pipelined receive
+	// goroutine, which a killed runner leaves unwinding. A node revived
+	// between jobs runs its next job on the killed runner's struct, so the
+	// join waits the count out first (quiesceWait).
 	qMu    sync.Mutex
 	qCount int
 	qZero  chan struct{}
@@ -470,11 +457,7 @@ func (sh *nodeShared) quiesceExit() {
 	sh.qMu.Unlock()
 }
 
-// quiesceWait blocks until every registered goroutine has exited. The join
-// controller calls it on a dead node before spawning replacement runners:
-// a crash-killed runner's receive goroutine unwinds on its own schedule
-// (transport error or membership interrupt), and until it does, it still
-// owns the node's receive scratch and transport inbox.
+// quiesceWait blocks until every registered goroutine has exited.
 func (sh *nodeShared) quiesceWait() {
 	sh.qMu.Lock()
 	if sh.qCount == 0 {
@@ -610,9 +593,6 @@ type server struct {
 	tilesAdopted int
 	recoveries   int
 	recoveryTime time.Duration
-	// needCkpt marks a rejoined runner that holds no consistent state for
-	// the job and must be streamed the restore checkpoint by a donor.
-	needCkpt bool
 }
 
 // runJob executes one submitted program on this server: per-job state is
@@ -623,19 +603,18 @@ type server struct {
 // cancelled job leaves the session healthy — and non-nil only for hard
 // errors that abort the whole session.
 func (s *server) runJob(jb *job) (fatal error) {
-	if s.claimIfZombie(jb) {
+	if s.shared.dead.Load() {
 		// A killed or fenced server is a zombie: it consumes submissions
 		// so Submit's fan-out never blocks, but contributes nothing. The
-		// survivors fill the result; if the server rejoins mid-job, the
-		// join controller reads the claim and spawns a replacement runner.
+		// survivors fill the result.
 		return nil
 	}
 	degradedStart := false
 	if !s.multi && s.node.MembershipStale() {
 		// The membership changed since this node last acknowledged it — a
 		// death detected after the previous job's final barrier, a rejoin
-		// admitted while the session was idle, or a declaration racing this
-		// very job's start (a sibling runner can enter, reach superstep 0
+		// admitted between jobs, or a declaration racing this very job's
+		// start (a sibling runner can enter, reach superstep 0
 		// and crash before this runner executes its entry block; the
 		// survivors that entered earlier are then already parked inside
 		// recoverFromFailure). When the job can recover, converge through
@@ -650,7 +629,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 		_, alive := s.node.AckMembership()
 		if !alive[s.node.ID()] {
 			_ = s.die(true)
-			s.markZombie(jb)
 			return nil
 		}
 		if jb.ckptEvery > 0 && s.cfg.Replication == AllInAll && s.node.NumNodes() > 1 {
@@ -760,7 +738,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 		if _, err := s.recoverFromFailure(); err != nil {
 			if errors.Is(err, errServerKilled) {
 				jb.steps[s.node.ID()] = nil
-				s.markZombie(jb)
 				return nil
 			}
 			jb.errs[s.node.ID()] = err
@@ -777,7 +754,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 			// partial step stats would pollute the merged result, and the
 			// session must stay usable: report nothing, become a zombie.
 			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
 			return nil
 		}
 		var jc jobCancelled
@@ -795,7 +771,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 			// Fenced during result assembly: same zombie exit as a mid-loop
 			// death — the partial stats are dropped, survivors fill the rest.
 			jb.steps[s.node.ID()] = nil
-			s.markZombie(jb)
 			return nil
 		}
 		jb.errs[s.node.ID()] = err
@@ -1062,14 +1037,6 @@ func (s *server) setup() error {
 // same barrier that already guarantees every batch of the step has been
 // absorbed).
 func (s *server) superstepLoop() ([]StepStats, error) {
-	return s.superstepLoopFrom(0)
-}
-
-// superstepLoopFrom runs the superstep loop starting at the given step — 0
-// for a fresh job, restore+1 for a rejoined server replaying into a job
-// already in flight (its earlier steps ran on the cluster before it was
-// readmitted; the steps it appends carry their true Superstep numbers).
-func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 	n := s.node
 	encOpts := comm.Options{
 		Choice:            s.cfg.Comm,
@@ -1085,14 +1052,14 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 	steps := s.stepsBuf[:0]
 	defer func() { s.stepsBuf = steps[:0] }()
 
-	for step := start; step < s.maxSteps; step++ {
+	for step := 0; step < s.maxSteps; step++ {
 		if s.multi {
 			// WRR turnstile: among the jobs waiting to start a step on this
 			// server, the smallest (step+1)/weight key goes first. A job
 			// mid-step is not waiting and is never throttled here.
 			s.shared.gate.arrive(s.jobID, s.jobWeight, step)
 		}
-		if step > start {
+		if step > 0 {
 			// Superstep boundary: one full cyclic sweep over the assigned
 			// tiles has completed. The CLOCK eviction policy keys its
 			// reference bits on this epoch counter (§IV-B extension). With
@@ -1114,17 +1081,21 @@ func (s *server) superstepLoopFrom(start int) ([]StepStats, error) {
 			if rerr != nil {
 				return steps, rerr
 			}
-			// Rewind the step record to the restore point: the replayed
-			// steps re-append identical rows (re-execution is
-			// bit-identical, so the Updated series repeats exactly; only
-			// timings and per-server byte shares differ). Trim by the
-			// recorded Superstep, not the slice index — a rejoined
-			// server's record starts mid-job, at start, not at step 0.
-			for len(steps) > 0 && steps[len(steps)-1].Superstep > restore {
-				steps = steps[:len(steps)-1]
+			if restore < step {
+				// Rewind the step record to the restore point: the replayed
+				// steps re-append identical rows (re-execution is
+				// bit-identical, so the Updated series repeats exactly; only
+				// timings and per-server byte shares differ).
+				for len(steps) > 0 && steps[len(steps)-1].Superstep > restore {
+					steps = steps[:len(steps)-1]
+				}
+				step = restore // the loop increment resumes at restore+1
+				continue
 			}
-			step = restore // the loop increment resumes at restore+1
-			continue
+			// The step failed after writing its checkpoint, and that
+			// checkpoint is the restore point: every survivor completed the
+			// step and resumes after it, so its row stands as if it passed.
+			updatedTotal = st.Updated
 		}
 		steps = append(steps, st)
 		if s.progress != nil && n.ID() == s.coordRank() {
@@ -1186,16 +1157,12 @@ func (s *server) startCrew(encOpts comm.Options) *stepCrew {
 		// error the loop returns without joining the receiver, which then
 		// must not race runJob's per-job field teardown (the cluster abort
 		// or the membership interrupt is what unblocks and ends it). In a
-		// serial session the straggler holds the node's quiesce gate: it
-		// shares the server struct a replacement runner would reuse, so a
-		// rejoin must wait it out. Holding the gate for the crew's lifetime
-		// rather than per step drains it no later: the serial runner holds
-		// it around all of runJob anyway, and stop (deferred by the loop)
-		// releases an idle receiver before runJob returns.
+		// serial session the straggler holds the node's quiesce gate for the
+		// crew's lifetime.
 		if !s.multi {
 			s.shared.quiesceEnter()
 		}
-		go c.receiver(s.ctx)
+		go c.receiver(s.ctx, s.receiveStep)
 	}
 	return c
 }
@@ -1208,12 +1175,12 @@ func (c *stepCrew) tileWorker(scr *workerScratch) {
 	}
 }
 
-func (c *stepCrew) receiver(ctx context.Context) {
+func (c *stepCrew) receiver(ctx context.Context, recv func(context.Context, int) error) {
 	if !c.s.multi {
 		defer c.s.shared.quiesceExit()
 	}
 	for step := range c.recvReq {
-		c.recvRes <- c.s.receiveStep(ctx, step)
+		c.recvRes <- recv(ctx, step)
 	}
 }
 
@@ -1250,18 +1217,9 @@ func (c *stepCrew) stop() {
 func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal int, err error) {
 	n := s.node
 	st = StepStats{Superstep: step}
-	// Step edge: fire any scripted rejoin pinned to this step, then poll the
-	// control plane for join requests. A serial runner parks here until the
-	// handshake resolves (a short job would otherwise finish before the
-	// admission lands), and admission happens here, before any of this
-	// step's traffic, so a grown membership is observed by every live server
-	// at the same step boundary (via the recovery protocol the epoch bump
-	// provokes). A multi-tenant runner does neither: its join lands between
-	// jobs.
-	for _, done := range s.faults.fireRejoins(step) {
-		s.awaitRejoin(done)
-	}
-	s.pollJoinRequests()
+	// Step edge: request any scripted rejoin pinned to this step. It lands
+	// between jobs.
+	s.faults.fireRejoins(step)
 	if k, ok := s.faults.killAt(n.ID(), step, KillAtStepStart); ok {
 		return st, 0, s.die(k.Hang)
 	}
@@ -1900,21 +1858,12 @@ func (s *server) barrierVote(flag bool) (bool, error) {
 }
 
 // barrierErr is the voteless form: nil on a clean pass, the membership error
-// when a runner must recover, a broken barrier surfaced as ErrClosed.
+// when a runner must recover, cluster.ErrBarrierBroken after an abort.
 func (s *server) barrierErr() error {
-	if !s.multi {
-		return s.node.BarrierErr()
+	if s.multi {
+		return s.node.JobBarrierErr(s.jobID, s.ackedEpoch)
 	}
-	d, err := s.node.JobBarrierVoteEpoch(s.jobID, false, s.ackedEpoch)
-	if err != nil {
-		return err
-	}
-	if d {
-		// Nobody votes true on this barrier; a true outcome means the
-		// barrier was broken by a cluster abort.
-		return fmt.Errorf("core: server %d: job barrier: %w", s.node.ID(), cluster.ErrClosed)
-	}
-	return nil
+	return s.node.BarrierErr()
 }
 
 // syncBarrier is the plain end-of-phase barrier (collectResult's tail):
@@ -2082,46 +2031,11 @@ func (s *server) jobRunner(jb *job) *server {
 	return r
 }
 
-// claimIfZombie is runJob's dead-server gate: under the zombie ledger's
-// lock it checks the death flag (or a prior claim of this job) and records
-// the job so the join controller can respawn it if the server is
-// readmitted. The lock pairs with the controller's claim-and-revive
-// critical section — a job is either recorded here before the flip and
-// respawned, or observes the cleared flag and runs normally.
-func (s *server) claimIfZombie(jb *job) bool {
-	sh := s.shared
-	sh.zMu.Lock()
-	defer sh.zMu.Unlock()
-	if !sh.dead.Load() && !sh.zombies[jb] {
-		return false
-	}
-	if sh.zombies == nil {
-		sh.zombies = make(map[*job]bool)
-	}
-	sh.zombies[jb] = true
-	return true
-}
-
-// markZombie records a job this server abandoned mid-run (errServerKilled):
-// if the server later rejoins while the job is still in flight, the join
-// controller spawns a replacement runner for it.
-func (s *server) markZombie(jb *job) {
-	sh := s.shared
-	sh.zMu.Lock()
-	if sh.zombies == nil {
-		sh.zombies = make(map[*job]bool)
-	}
-	sh.zombies[jb] = true
-	sh.zMu.Unlock()
-}
-
 // mergeSteps folds the per-server step stats into cluster-wide rows: sums
 // for counters, max for durations.
 func mergeSteps(res *Result, byServer [][]StepStats) {
 	numSteps := 0
 	for _, ss := range byServer {
-		// Index by the recorded Superstep, not slice length: a rejoined
-		// server's record starts mid-job at its admission step.
 		if n := len(ss); n > 0 && ss[n-1].Superstep+1 > numSteps {
 			numSteps = ss[n-1].Superstep + 1
 		}

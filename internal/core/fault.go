@@ -65,23 +65,17 @@ type DiskFault struct {
 }
 
 // Rejoin scripts a dead server's return: at the start of superstep Step
-// (as observed by any live server) the session's join controller wakes and
-// runs the full rejoin protocol for Server — in a serial session handshake
-// with the coordinator, admission at the step edge, checkpoint + tile
-// restoration, replay; in a multi-tenant session admission between jobs,
-// exactly as Session.Join. The server must already be dead when the
-// coordinate fires (pair it with an earlier Kill); a rejoin for a live
-// server is a no-op.
+// (as observed by any live server) the session's join controller requests
+// the join for Server, exactly as Session.Join. The join lands between
+// jobs: the in-flight job finishes without the server (listing it in
+// Result.DeadServers), and the server serves from the next Submit. The
+// server must already be dead when the coordinate fires (pair it with an
+// earlier Kill); a rejoin for a live server is a no-op.
 type Rejoin struct {
 	// Server is the rank that comes back.
 	Server int
-	// Step is the 0-based superstep at whose start the rejoin is initiated.
+	// Step is the 0-based superstep at whose start the rejoin is requested.
 	Step int
-	// FailMidTransfer, when true, makes the joiner complete the handshake
-	// and get admitted but then die again before restoring state — the
-	// mid-transfer failure survivors must roll back by re-declaring it
-	// dead, without disturbing the running step.
-	FailMidTransfer bool
 }
 
 // WireFault drops or duplicates one cross-server frame.
@@ -122,11 +116,9 @@ type compiledFaults struct {
 	wire    []wireFaultState
 
 	// onRejoin is the session's join controller, invoked when a scripted
-	// Rejoin coordinate fires. It starts the join in the background and
-	// returns a channel that closes when the rejoin has completed (or given
-	// up), so a serial firing runner can hold its step edge open for the
-	// admission. Wired by Open.
-	onRejoin func(Rejoin) <-chan struct{}
+	// Rejoin coordinate fires. It starts the join in the background. Wired
+	// by Open.
+	onRejoin func(Rejoin)
 }
 
 type killState struct {
@@ -135,7 +127,7 @@ type killState struct {
 	// kill when its server is revived. The two are separate because one kill
 	// must fell *every* runner of its server (a hung server's jobs all stop,
 	// and each job's runner queries the coordinate independently), yet must
-	// not fire again when a rejoined server replays the same superstep.
+	// not fire again when the next job replays the same superstep.
 	fired atomic.Bool
 	spent atomic.Bool
 }
@@ -184,7 +176,7 @@ func compileFaults(p *FaultPlan) *compiledFaults {
 
 // setOnRejoin wires the session's join controller into the plan's scripted
 // rejoins. Safe on a nil receiver (empty plan — nothing will ever fire).
-func (cf *compiledFaults) setOnRejoin(fn func(Rejoin) <-chan struct{}) {
+func (cf *compiledFaults) setOnRejoin(fn func(Rejoin)) {
 	if cf != nil {
 		cf.onRejoin = fn
 	}
@@ -240,9 +232,9 @@ func (cf *compiledFaults) wireHook() func(from, to, size int) cluster.WireAction
 // kill fires for every runner that hits its coordinate — in a multi-tenant
 // session each in-flight job's runner on the victim queries independently,
 // and a hang must fell all of them — until the kill is spent: once the
-// server is revived by a rejoin, the comeback *replays* the same superstep,
-// and a spent kill keeps it from dying again at the coordinate that killed
-// it (disarmKills).
+// server is revived by a rejoin, the next job replays the same superstep
+// numbers, and a spent kill keeps it from dying again at the coordinate that
+// killed it (disarmKills).
 func (cf *compiledFaults) killAt(server, step int, point KillPoint) (Kill, bool) {
 	if cf == nil {
 		return Kill{}, false
@@ -259,8 +251,8 @@ func (cf *compiledFaults) killAt(server, step int, point KillPoint) (Kill, bool)
 	return Kill{}, false
 }
 
-// disarmKills retires every fired kill of a just-revived server, so its
-// replay cannot re-trigger the crash that removed it. Kills that have not
+// disarmKills retires every fired kill of a just-revived server, so the
+// next job cannot re-trigger the crash that removed it. Kills that have not
 // fired yet stay armed — a plan may script a second kill at a later step.
 func (cf *compiledFaults) disarmKills(server int) {
 	if cf == nil {
@@ -274,25 +266,18 @@ func (cf *compiledFaults) disarmKills(server int) {
 	}
 }
 
-// fireRejoins claims every scripted rejoin pinned to the start of step,
-// hands each to the session's join controller, and returns their completion
-// channels so a serial firing runner can park at its step edge until the
-// admissions land. Any live server can hit the coordinate first (in a
-// multi-tenant session even on different jobs whose step counters
-// disagree); the one-shot makes exactly one of them fire it.
-func (cf *compiledFaults) fireRejoins(step int) []<-chan struct{} {
+// fireRejoins claims every scripted rejoin pinned to the start of step and
+// hands each to the session's join controller. Any live server can hit the
+// coordinate first (in a multi-tenant session even on different jobs whose
+// step counters disagree); the one-shot makes exactly one of them fire it.
+func (cf *compiledFaults) fireRejoins(step int) {
 	if cf == nil || len(cf.rejoins) == 0 || cf.onRejoin == nil {
-		return nil
+		return
 	}
-	var fired []<-chan struct{}
 	for i := range cf.rejoins {
 		st := &cf.rejoins[i]
-		if st.f.Step != step || st.done.Load() {
-			continue
-		}
-		if st.done.CompareAndSwap(false, true) {
-			fired = append(fired, cf.onRejoin(st.f))
+		if st.f.Step == step && st.done.CompareAndSwap(false, true) {
+			cf.onRejoin(st.f)
 		}
 	}
-	return fired
 }

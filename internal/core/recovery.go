@@ -57,36 +57,25 @@ var errServerKilled = errors.New("core: this server was killed")
 // discard stray duplicated markers by inspection.
 const markerMagic = 0xC9
 
-// markerSize is magic + epoch (u64) + newest checkpoint step (i64) + a
-// need-checkpoint flag (u8). The flag marks a rejoined server that holds no
-// state for the job: its (empty) checkpoint inventory is excluded from the
-// restore consensus, and after barrier B a donor streams it the consensus
-// checkpoint blob.
-const markerSize = 1 + 8 + 8 + 1
+// markerSize is magic + epoch (u64) + newest checkpoint step (i64).
+const markerSize = 1 + 8 + 8
 
 // appendMarker appends a recovery marker for the given membership epoch.
 // Pure append: multi-tenant callers prefix the job envelope first.
-func appendMarker(dst []byte, epoch uint64, lastCkpt int, need bool) []byte {
+func appendMarker(dst []byte, epoch uint64, lastCkpt int) []byte {
 	dst = append(dst, markerMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(lastCkpt)))
-	if need {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, uint64(int64(lastCkpt)))
 }
 
 // decodeMarker parses a recovery marker.
-func decodeMarker(msg []byte) (epoch uint64, lastCkpt int, need bool, err error) {
+func decodeMarker(msg []byte) (epoch uint64, lastCkpt int, err error) {
 	if len(msg) != markerSize || msg[0] != markerMagic {
-		return 0, 0, false, fmt.Errorf("core: malformed recovery marker (%d bytes)", len(msg))
+		return 0, 0, fmt.Errorf("core: malformed recovery marker (%d bytes)", len(msg))
 	}
 	epoch = binary.LittleEndian.Uint64(msg[1:])
 	lastCkpt = int(int64(binary.LittleEndian.Uint64(msg[9:])))
-	need = msg[17] != 0
-	return epoch, lastCkpt, need, nil
+	return epoch, lastCkpt, nil
 }
 
 // die removes this server from the job: a crash declares itself dead so
@@ -162,7 +151,7 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 			}
 			return 0, err
 		}
-		restore, needy, retry, err := s.exchangeMarkers(epoch, alive)
+		restore, retry, err := s.exchangeMarkers(epoch, alive)
 		if err != nil {
 			return 0, err
 		}
@@ -178,17 +167,6 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 		}
 		if err := s.reconcileTiles(alive); err != nil {
 			return 0, err
-		}
-		// Elastic membership: a rejoined server holds no checkpoint for this
-		// job — the lowest non-needy survivor streams it the consensus blob,
-		// and barrier C keeps step traffic off the wire until every needy
-		// server has it (the blob travels the same FIFO channel).
-		retry, err = s.streamCheckpoint(restore, alive, needy)
-		if err != nil {
-			return 0, err
-		}
-		if retry {
-			continue
 		}
 		if restore >= 0 {
 			if err := s.restoreCheckpoint(restore); err != nil {
@@ -213,7 +191,6 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 		if !s.lockstep && n.NumNodes() > 1 {
 			s.sender = n.NewSender(s.queueCap)
 		}
-		s.needCkpt = false
 		s.recoveries++
 		s.recoveryTime += time.Since(start)
 		return restore, nil
@@ -222,36 +199,21 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 
 // exchangeMarkers broadcasts this server's newest checkpoint step to every
 // survivor and collects theirs, returning the minimum as the restore
-// consensus. A needy server (a rejoiner with no state for the job) is
-// excluded from the minimum — it advertises need instead, and the returned
-// needy set tells the streaming phase who must be fed the consensus blob.
-// Stale step frames and epoch-mismatched markers are discarded; markers are
-// deduped per sender (a scripted WireDuplicate may copy one). retry is true
-// when membership changed mid-exchange — including when this server's own
-// stall accused the peers that never sent a marker.
-func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy []bool, retry bool, err error) {
+// consensus. Stale step frames and epoch-mismatched markers are discarded;
+// markers are deduped per sender (a scripted WireDuplicate may copy one).
+// retry is true when membership changed mid-exchange — including when this
+// server's own stall accused the peers that never sent a marker.
+func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, retry bool, err error) {
 	n := s.node
 	me := n.ID()
-	needy = make([]bool, n.NumNodes())
-	needy[me] = s.needCkpt
-	restore = -1
-	haveAny := false
-	merge := func(last int) {
-		if !haveAny || last < restore {
-			restore = last
-		}
-		haveAny = true
-	}
-	if !s.needCkpt {
-		merge(s.lastCkptStep())
-	}
+	restore = s.lastCkptStep()
 	buf := s.markerBuf[:0]
 	if s.multi {
 		// Job envelope first: the peers' routers deliver the marker to the
 		// right job's mailbox.
 		buf = comm.AppendJobHeader(buf, s.jobID)
 	}
-	msg := appendMarker(buf, epoch, s.lastCkptStep(), s.needCkpt)
+	msg := appendMarker(buf, epoch, restore)
 	s.markerBuf = msg[:0]
 	waiting := 0
 	for p, ok := range alive {
@@ -259,12 +221,12 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 			continue
 		}
 		if err := n.Send(p, msg); err != nil {
-			return 0, nil, false, err
+			return 0, false, err
 		}
 		waiting++
 	}
 	if waiting == 0 {
-		return restore, needy, false, nil
+		return restore, false, nil
 	}
 	seen := s.markerSeen
 	if seen == nil {
@@ -276,7 +238,7 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 		if len(payload) == 0 || payload[0] != markerMagic {
 			return false, nil // stale step frame from before the failure
 		}
-		e, last, need, err := decodeMarker(payload)
+		e, last, err := decodeMarker(payload)
 		if err != nil {
 			return false, err
 		}
@@ -284,16 +246,13 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 			return false, nil // old recovery round, or a duplicated frame
 		}
 		seen[from] = true
-		needy[from] = need
-		if !need {
-			merge(last)
-		}
+		restore = min(restore, last)
 		waiting--
 		return waiting == 0, nil
 	})
 	switch {
 	case err == nil:
-		return restore, needy, false, nil
+		return restore, false, nil
 	case errors.Is(err, cluster.ErrRecvStall):
 		// Whoever never sent a marker has died since the last declaration.
 		for p, ok := range alive {
@@ -301,110 +260,11 @@ func (s *server) exchangeMarkers(epoch uint64, alive []bool) (restore int, needy
 				n.DeclareDead(p)
 			}
 		}
-		return 0, nil, true, nil
+		return 0, true, nil
 	case errors.Is(err, cluster.ErrMembershipChanged):
-		return 0, nil, true, nil
+		return 0, true, nil
 	}
-	return 0, nil, false, err
-}
-
-// streamCheckpoint is the feeding leg of elastic membership: when the
-// marker exchange flagged needy servers and there is a checkpoint to
-// restore, the lowest-ranked non-needy survivor (the donor) sends each
-// needy server the consensus checkpoint blob — the same self-validating
-// CRC'd bytes the store holds — and every survivor meets at barrier C so
-// no step traffic enters the wire before the needy servers hold their
-// state. A needy server persists the blob to its own store, so later
-// recoveries see it as an ordinary checkpoint holder. retry is true when
-// membership changed mid-stream (e.g. the joiner died again mid-transfer);
-// the caller re-runs the protocol from the top. Only a serial session's
-// replacement runner is ever needy: a multi-tenant session admits joiners
-// between jobs, so the blob travels without a job envelope.
-func (s *server) streamCheckpoint(restore int, alive, needy []bool) (retry bool, err error) {
-	if restore < 0 {
-		// No checkpoint exists anywhere: everyone (needy included) restarts
-		// from initial values — nothing to stream.
-		return false, nil
-	}
-	n := s.node
-	me := n.ID()
-	donor, anyNeedy := -1, false
-	for p, ok := range alive {
-		if !ok {
-			continue
-		}
-		if needy[p] {
-			anyNeedy = true
-		} else if donor < 0 {
-			donor = p
-		}
-	}
-	if !anyNeedy || donor < 0 {
-		return false, nil
-	}
-	if me == donor {
-		blob, err := s.store.Read(s.ckptName(restore))
-		if err != nil {
-			return false, fmt.Errorf("core: server %d reading checkpoint for step %d to stream: %w", me, restore, err)
-		}
-		for p, ok := range alive {
-			if !ok || !needy[p] {
-				continue
-			}
-			if err := n.Send(p, blob); err != nil {
-				return false, err
-			}
-		}
-	} else if needy[me] {
-		var blob []byte
-		err = s.recvWhile(nil, func(from int, payload []byte) (bool, error) {
-			if len(payload) < ckptHeaderSize || payload[0] != ckptMagic {
-				return false, nil // stale pre-recovery frame or stray marker
-			}
-			if int(binary.LittleEndian.Uint32(payload[1:])) != restore {
-				// A blob from an aborted earlier stream round (membership
-				// changed mid-stream and the retried marker exchange picked a
-				// different restore point) can still sit in the FIFO ahead of
-				// the current donor's; drop it and keep receiving.
-				return false, nil
-			}
-			blob = append([]byte(nil), payload...)
-			return true, nil
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, cluster.ErrRecvStall):
-			// The donor went quiet; accuse it and re-run the protocol.
-			n.DeclareDead(donor)
-			return true, nil
-		case errors.Is(err, cluster.ErrMembershipChanged):
-			return true, nil
-		default:
-			return false, err
-		}
-		step, err := decodeCheckpoint(blob, s.state.values)
-		if err != nil {
-			return false, fmt.Errorf("core: server %d validating streamed checkpoint: %w", me, err)
-		}
-		if step != restore {
-			return false, fmt.Errorf("core: server %d streamed checkpoint encodes step %d, want %d", me, step, restore)
-		}
-		if err := s.store.Write(s.ckptName(restore), blob); err != nil {
-			return false, fmt.Errorf("core: server %d persisting streamed checkpoint for step %d: %w", me, restore, err)
-		}
-		if ln := len(s.ckptSteps); ln == 0 || s.ckptSteps[ln-1] != restore {
-			s.ckptSteps = append(s.ckptSteps, restore)
-		}
-	}
-	// Barrier C: every needy server holds the consensus checkpoint; step
-	// traffic may flow again.
-	if err := s.barrierErr(); err != nil {
-		if errors.Is(err, cluster.ErrMembershipChanged) {
-			return true, nil
-		}
-		return false, err
-	}
-	return false, nil
+	return 0, false, err
 }
 
 // reconcileTiles recomputes tile placement for the current membership view

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,6 +86,94 @@ func wantDead(t *testing.T, res *Result, label string, servers ...int) {
 		if res.DeadServers[i] != s {
 			t.Fatalf("%s: DeadServers = %v, want %v", label, res.DeadServers, servers)
 		}
+	}
+}
+
+// TestRecoveryKeepsEveryStepRow: a kill-recovered serial job reports one
+// row per superstep — Superstep 0…n−1, each exactly once, carrying the
+// fault-free Updated series — and its Progress callback sees every
+// superstep. The sweep kills either server at every step and kill point
+// (rank 0 is the coordinator, so its death moves the role). The last case
+// stalls rank 0 inside its step-3 checkpoint write until the others accuse
+// it: they fail at the checkpoint's exit barrier holding step 3's
+// checkpoint, so the restore point is the step that failed and its row
+// must survive the recovery.
+func TestRecoveryKeepsEveryStepRow(t *testing.T) {
+	p := chaosPartition(t)
+	want := chaosRun(t, p, nil)
+	type rowCase struct {
+		name   string
+		victim int
+		fault  func(*Config)
+	}
+	var cases []rowCase
+	for _, victim := range []int{0, 1} {
+		for ks := 0; ks < want.Supersteps; ks++ {
+			for _, point := range []KillPoint{KillAtStepStart, KillMidStep, KillAtBarrier} {
+				kill := Kill{Server: victim, Step: ks, Point: point}
+				cases = append(cases, rowCase{
+					name:   fmt.Sprintf("victim=%d/kill=%d/point=%d", victim, ks, point),
+					victim: victim,
+					fault:  func(c *Config) { c.Faults = &FaultPlan{Kills: []Kill{kill}} },
+				})
+			}
+		}
+	}
+	cases = append(cases, rowCase{
+		name:   "stalled-checkpoint",
+		victim: 0,
+		fault: func(c *Config) {
+			c.FailureTimeout = 500 * time.Millisecond
+			c.DiskFailureHook = func(server int, op, name string) error {
+				if server == 0 && op == "write" && name == "ckpt/00000003" {
+					time.Sleep(4 * c.FailureTimeout)
+				}
+				return nil
+			}
+		},
+	})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosConfig(t)
+			tc.fault(&cfg)
+			se, err := Open(Input{Partition: p}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			var mu sync.Mutex
+			reported := make(map[int]int)
+			res, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{
+				Progress: func(st StepStats) {
+					mu.Lock()
+					reported[st.Superstep]++
+					mu.Unlock()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantExact(t, res.Values, want.Values, tc.name)
+			wantDead(t, res, tc.name, tc.victim)
+			if res.Supersteps != want.Supersteps || len(res.Steps) != res.Supersteps {
+				t.Fatalf("%s: Supersteps = %d with %d rows, want %d", tc.name, res.Supersteps, len(res.Steps), want.Supersteps)
+			}
+			for i, st := range res.Steps {
+				if st.Superstep != i {
+					t.Fatalf("%s: row %d is superstep %d", tc.name, i, st.Superstep)
+				}
+				if st.Updated != want.Steps[i].Updated {
+					t.Fatalf("%s: step %d Updated = %d, fault-free %d", tc.name, i, st.Updated, want.Steps[i].Updated)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i := 0; i < res.Supersteps; i++ {
+				if reported[i] == 0 {
+					t.Fatalf("%s: Progress never saw superstep %d (saw %v)", tc.name, i, reported)
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,9 @@
 package core_test
 
-// Elastic-membership chaos suite: servers killed mid-job rejoin the live
-// session at a superstep edge, receive the newest consistent checkpoint
-// from a donor, and replay alongside the survivors. The invariant is the
-// same as the crash suite's — a churned run must produce BIT-IDENTICAL
-// vertex values to the fault-free run — plus capacity restoration: the
-// rejoined server must end the job as a live member owning its base tiles.
+// Elastic-membership chaos suite: a server killed mid-job rejoins the live
+// session between jobs. The job it died in finishes on the survivors,
+// BIT-IDENTICAL to the fault-free run and listing it as dead; the next job
+// runs with it back as a live member owning its base tiles.
 
 import (
 	"context"
@@ -18,12 +16,56 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cluster"
 	. "repro/internal/core"
+	"repro/internal/tile"
 )
 
+// rejoinTwoJobs opens a session with the chaos config plus the given
+// tweaks and runs PageRank twice: job 1 carries the plan's kill and
+// scripted rejoin, job 2 runs after the join has landed.
+func rejoinTwoJobs(t *testing.T, p *tile.Partition, mutate func(*Config)) (job1, job2 *Result) {
+	t.Helper()
+	cfg := chaosConfig(t)
+	mutate(&cfg)
+	se, err := Open(Input{Partition: p}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	if job1, err = se.Submit(context.Background(), apps.PageRank{}, JobOptions{}); err != nil {
+		t.Fatalf("job 1 (kill + rejoin): %v", err)
+	}
+	if job2, err = se.Submit(context.Background(), apps.PageRank{}, JobOptions{}); err != nil {
+		t.Fatalf("job 2 (after the rejoin): %v", err)
+	}
+	return job1, job2
+}
+
+// wantRejoined checks the between-jobs contract for server 1: job 1 ends
+// bit-identical without it, job 2 bit-identical with it back.
+func wantRejoined(t *testing.T, job1, job2, want *Result, name string) {
+	t.Helper()
+	wantExact(t, job1.Values, want.Values, name+"/job1")
+	wantDead(t, job1, name+"/job1", 1) // the join waited for the job to end
+	if job1.Supersteps != want.Supersteps {
+		t.Fatalf("%s/job1: ran %d supersteps, want %d", name, job1.Supersteps, want.Supersteps)
+	}
+	wantExact(t, job2.Values, want.Values, name+"/job2")
+	wantDead(t, job2, name+"/job2") // capacity restored
+	if got := job2.Servers[1].Joins; got != 1 {
+		t.Fatalf("%s/job2: server 1 reports %d joins, want 1", name, got)
+	}
+	if got := job2.Servers[0].MembershipEpoch; got != 2 {
+		t.Fatalf("%s/job2: membership epoch = %d, want 2 (one death + one join)", name, got)
+	}
+	if job2.Servers[1].VertexSlots == 0 {
+		t.Fatalf("%s/job2: rejoined server 1 did not participate", name)
+	}
+}
+
 // TestRejoinSweep kills server 1 at every superstep (rotating the kill
-// point) and scripts its rejoin at the start of the following one. Every
-// case must converge with no dead servers at the end, the comeback
-// recorded in the stats, and values bit-identical to the fault-free run.
+// point) and scripts its rejoin at the start of the following one. The job
+// must finish bit-identical on the survivors with server 1 dead, and the
+// next job bit-identical with server 1 back.
 func TestRejoinSweep(t *testing.T) {
 	p := chaosPartition(t)
 	want := chaosRun(t, p, nil)
@@ -38,31 +80,21 @@ func TestRejoinSweep(t *testing.T) {
 				if lockstep && testing.Short() {
 					t.Skip("lockstep rejoin sweep skipped in short mode")
 				}
-				res := chaosRun(t, p, func(c *Config) {
+				job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
 					c.Lockstep = lockstep
 					c.Faults = &FaultPlan{
 						Kills:   []Kill{kill},
 						Rejoins: []Rejoin{rejoin},
 					}
 				})
-				wantExact(t, res.Values, want.Values, name)
-				wantDead(t, res, name) // capacity restored: nobody dead at the end
-				if res.Supersteps != want.Supersteps {
-					t.Fatalf("%s: ran %d supersteps, want %d", name, res.Supersteps, want.Supersteps)
-				}
-				if got := res.Servers[1].Joins; got != 1 {
-					t.Fatalf("%s: server 1 reports %d joins, want 1", name, got)
-				}
-				if got := res.Servers[0].MembershipEpoch; got != 2 {
-					t.Fatalf("%s: membership epoch = %d, want 2 (one death + one join)", name, got)
-				}
+				wantRejoined(t, job1, job2, want, name)
 			})
 		}
 	}
 }
 
 // TestRejoinTCP repeats a subset of the rejoin sweep over real loopback TCP
-// sockets; the recovered values must be bit-identical across transports.
+// sockets; the values must be bit-identical across transports.
 func TestRejoinTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP chaos runs are slow")
@@ -81,7 +113,7 @@ func TestRejoinTCP(t *testing.T) {
 	} {
 		name := fmt.Sprintf("tcp/lockstep=%v/kill=%d/rejoin=%d", tc.lockstep, tc.ks, tc.rs)
 		t.Run(name, func(t *testing.T) {
-			res := chaosRun(t, p, func(c *Config) {
+			job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
 				c.Transport = cluster.TCP
 				c.Lockstep = tc.lockstep
 				c.Faults = &FaultPlan{
@@ -89,13 +121,99 @@ func TestRejoinTCP(t *testing.T) {
 					Rejoins: []Rejoin{{Server: 1, Step: tc.rs}},
 				}
 			})
-			wantExact(t, res.Values, want.Values, name)
-			wantDead(t, res, name)
-			if got := res.Servers[1].Joins; got != 1 {
-				t.Fatalf("%s: server 1 reports %d joins, want 1", name, got)
-			}
+			wantRejoined(t, job1, job2, want, name)
 		})
 	}
+}
+
+// TestSessionJoinWhileSerialJobRuns pins the serial join contract. With a
+// job held mid-run on a membership that lost server 1, Join(1) returns only
+// after that job, and lands before the Submit queued right behind it
+// starts. A Join whose ctx is cancelled is abandoned: admission resumes and
+// the next job runs without the server.
+func TestSessionJoinWhileSerialJobRuns(t *testing.T) {
+	p := chaosPartition(t)
+	want := chaosRun(t, p, nil)
+	open := func() *Session {
+		cfg := chaosConfig(t)
+		cfg.Faults = &FaultPlan{Kills: []Kill{{Server: 1, Step: 1, Point: KillMidStep}}}
+		se, err := Open(Input{Partition: p}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return se
+	}
+	submit := func(se *Session) <-chan submitted {
+		done := make(chan submitted, 1)
+		go func() {
+			res, err := se.Submit(context.Background(), apps.PageRank{}, JobOptions{})
+			done <- submitted{res, err}
+		}()
+		return done
+	}
+
+	t.Run("lands-between-jobs", func(t *testing.T) {
+		se := open()
+		defer se.Close()
+		held, release := holdJob(t, se)
+		joined := make(chan error, 1)
+		go func() { joined <- se.Join(context.Background(), 1) }()
+		waitPaused(t, se)
+		// Back to back: this Submit waits on the session lock and takes it
+		// the moment the held job's Submit returns.
+		next := submit(se)
+		select {
+		case err := <-joined:
+			t.Fatalf("Join returned %v while a job was in flight", err)
+		case <-time.After(150 * time.Millisecond):
+		}
+		release()
+		h := <-held
+		if h.err != nil {
+			t.Fatalf("held job: %v", h.err)
+		}
+		wantExact(t, h.res.Values, want.Values, "held job")
+		wantDead(t, h.res, "held job", 1)
+		if err := <-joined; err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		q := <-next
+		if q.err != nil {
+			t.Fatalf("job queued behind the Join: %v", q.err)
+		}
+		wantExact(t, q.res.Values, want.Values, "job after the Join")
+		wantDead(t, q.res, "job after the Join")
+		if got := q.res.Servers[1].Joins; got != 1 {
+			t.Fatalf("server 1 reports %d joins, want 1", got)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		se := open()
+		defer se.Close()
+		held, release := holdJob(t, se)
+		ctx, cancel := context.WithCancel(context.Background())
+		joined := make(chan error, 1)
+		go func() { joined <- se.Join(ctx, 1) }()
+		waitPaused(t, se)
+		cancel()
+		if err := <-joined; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Join returned %v, want context.Canceled", err)
+		}
+		if se.AdmissionPaused() {
+			t.Fatal("admission still paused after the Join was abandoned")
+		}
+		release()
+		if h := <-held; h.err != nil {
+			t.Fatalf("held job: %v", h.err)
+		}
+		q := <-submit(se)
+		if q.err != nil {
+			t.Fatalf("job after the abandoned Join: %v", q.err)
+		}
+		wantExact(t, q.res.Values, want.Values, "job after the abandoned Join")
+		wantDead(t, q.res, "job after the abandoned Join", 1)
+	})
 }
 
 // TestMultiJobRejoin pins the multi-tenant rejoin contract: a session with
@@ -372,30 +490,6 @@ func waitPaused(t *testing.T, se *Session) {
 			t.Fatal("Join never paused admission")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestRejoinFailMidTransfer scripts the hardening case: the joiner
-// completes the handshake and is admitted, then dies again before
-// restoring any state. The survivors must re-declare it dead and finish
-// the job bit-identically — an aborted comeback must not disturb the run.
-func TestRejoinFailMidTransfer(t *testing.T) {
-	p := chaosPartition(t)
-	want := chaosRun(t, p, nil)
-
-	res := chaosRun(t, p, func(c *Config) {
-		c.Faults = &FaultPlan{
-			Kills:   []Kill{{Server: 1, Step: 2, Point: KillMidStep}},
-			Rejoins: []Rejoin{{Server: 1, Step: 3, FailMidTransfer: true}},
-		}
-	})
-	wantExact(t, res.Values, want.Values, "fail-mid-transfer")
-	wantDead(t, res, "fail-mid-transfer", 1) // the comeback was rolled back
-	if got := res.Servers[1].Joins; got != 0 {
-		t.Fatalf("aborted join must not count: server 1 reports %d joins", got)
-	}
-	if got := res.Servers[0].MembershipEpoch; got < 3 {
-		t.Fatalf("membership epoch = %d, want >= 3 (death, join, death again)", got)
 	}
 }
 

@@ -12,7 +12,8 @@ package core
 //     fast with ErrJobQueueFull. Higher-weight jobs enqueue with smaller
 //     virtual times and are granted first within a backlog. A pending join
 //     pauses admission (pause/resume) so the in-flight jobs drain and the
-//     joiner is admitted between jobs.
+//     joiner is admitted between jobs. A serial session owns one too, for
+//     the pause alone: its Submit waits it out (awaitResume).
 //
 //   - stepGate, the per-server weighted-round-robin turnstile at superstep
 //     edges: each runner arrives before starting a step, and among the
@@ -53,8 +54,9 @@ type jobScheduler struct {
 	maxRun   int
 	maxQueue int
 	running  int
-	paused   int   // nested pause count; no slot is granted while non-zero
-	free     []int // free slot indices
+	paused   int           // nested pause count; no slot is granted while non-zero
+	resumed  chan struct{} // closed when paused drops back to zero
+	free     []int         // free slot indices
 	queue    []*admitWaiter
 	clock    float64 // virtual time of the last grant
 	seq      uint64
@@ -158,22 +160,41 @@ func (s *jobScheduler) grantQueuedLocked() {
 }
 
 // pause stops admission until the matching resume: admit queues (or fails
-// fast with ErrJobQueueFull) even when a slot is free, and release grants
-// nothing. Pauses nest. A nil scheduler — a serial session, which has no
-// admission queue — ignores both calls.
+// fast with ErrJobQueueFull) even when a slot is free, release grants
+// nothing, and awaitResume blocks. Pauses nest.
 func (s *jobScheduler) pause() { s.addPause(1) }
 
 // resume lifts one pause; the last one grants every free slot to the queue.
 func (s *jobScheduler) resume() { s.addPause(-1) }
 
 func (s *jobScheduler) addPause(d int) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
+	if s.paused == 0 {
+		s.resumed = make(chan struct{})
+	}
 	s.paused += d
+	if s.paused == 0 {
+		close(s.resumed)
+	}
 	s.grantQueuedLocked()
 	s.mu.Unlock()
+}
+
+// awaitResume blocks while admission is paused, or until ctx is done.
+func (s *jobScheduler) awaitResume(ctx context.Context) error {
+	for {
+		s.mu.Lock()
+		paused, resumed := s.paused > 0, s.resumed
+		s.mu.Unlock()
+		if !paused {
+			return nil
+		}
+		select {
+		case <-resumed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // runningMask returns the occupied-slot bitmask with self's bit cleared —

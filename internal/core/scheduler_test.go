@@ -142,7 +142,8 @@ func TestJobSchedulerCancelWhileQueued(t *testing.T) {
 
 // TestJobSchedulerPause pins the join's admission pause: while paused, an
 // admit queues even with a slot free, the queue bound still sheds load, a
-// release grants nothing, and only the last of nested resumes grants.
+// release grants nothing, only the last of nested resumes grants, and
+// awaitResume waits the pause out.
 func TestJobSchedulerPause(t *testing.T) {
 	s := newJobScheduler(2, 1)
 	held, err := s.admit(context.Background(), 1)
@@ -179,9 +180,34 @@ func TestJobSchedulerPause(t *testing.T) {
 	if s.queued() != 0 {
 		t.Fatalf("queue depth %d after resume, want 0", s.queued())
 	}
-	var nilSched *jobScheduler // a serial session: pause and resume are no-ops
-	nilSched.pause()
-	nilSched.resume()
+
+	// awaitResume, a serial Submit's wait: it blocks while paused, gives up
+	// when its ctx is done, and returns once the last pause lifts.
+	s.pause()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.awaitResume(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("awaitResume with a cancelled ctx returned %v, want context.Canceled", err)
+	}
+	resumed := make(chan error, 1)
+	go func() { resumed <- s.awaitResume(context.Background()) }()
+	select {
+	case err := <-resumed:
+		t.Fatalf("awaitResume returned %v while paused", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.resume()
+	select {
+	case err := <-resumed:
+		if err != nil {
+			t.Fatalf("awaitResume after resume: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("resume did not release awaitResume")
+	}
+	if err := s.awaitResume(cancelled); err != nil {
+		t.Fatalf("awaitResume while unpaused: %v", err)
+	}
 }
 
 // TestStepGateKeyOrder pins the turnstile semantics: a waiting job blocks

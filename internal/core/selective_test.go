@@ -206,11 +206,12 @@ func TestSelectiveGridSSSP(t *testing.T) {
 	}
 }
 
-// TestSelectiveReplayAfterRejoin kills a server mid-job and lets it rejoin.
-// A restored checkpoint carries no delta, so the first replayed step must
-// sweep densely on every server and the ones after it select again — and
-// the result, the Updated series and the step count must not notice.
-func TestSelectiveReplayAfterRejoin(t *testing.T) {
+// TestSelectiveReplayAfterKill kills a server mid-job and scripts its
+// rejoin. A restored checkpoint carries no delta, so the first replayed step
+// must sweep densely on every survivor and the ones after it select again —
+// and the result, the Updated series and the step count must not notice.
+// The join lands between jobs, so the next Submit runs with the server back.
+func TestSelectiveReplayAfterKill(t *testing.T) {
 	_, p := roadGrid(t, 30, 256)
 	base := func() Config {
 		cfg := DefaultConfig(3)
@@ -231,19 +232,20 @@ func TestSelectiveReplayAfterRejoin(t *testing.T) {
 		Kills:   []Kill{{Server: 1, Step: 9, Point: KillMidStep}},
 		Rejoins: []Rejoin{{Server: 1, Step: 10}},
 	}
-	got, err := New(cfg).Run(Input{Partition: p}, apps.SSSP{Source: 0})
+	se, err := Open(Input{Partition: p}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	got, err := se.Submit(context.Background(), apps.SSSP{Source: 0}, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantSameRun(t, got, want, "replay")
-	wantDead(t, got, "replay")
-	if got.Servers[1].Joins != 1 {
-		t.Fatalf("server 1 reports %d joins, want 1", got.Servers[1].Joins)
-	}
+	wantDead(t, got, "replay", 1)
 	// Steps before 8 carry only the survivors' counters (the killed runner's
-	// record dies with it), so the comparison starts at the replay: both
-	// recovery rounds — the death and the rejoin — restore step 7, and the
-	// rows that survive are the last replay's, with all three servers back.
+	// record dies with it), so the comparison starts at the replay, which
+	// the two survivors run over every tile.
 	all := int64(p.NumEdges)
 	if want.Steps[8].GatheredEdges == all {
 		t.Fatal("step 8 of the fault-free run is not selective; the test proves nothing")
@@ -255,6 +257,16 @@ func TestSelectiveReplayAfterRejoin(t *testing.T) {
 		if got.Steps[i].GatheredEdges != want.Steps[i].GatheredEdges {
 			t.Fatalf("step %d gathered %d edges, fault-free run %d", i, got.Steps[i].GatheredEdges, want.Steps[i].GatheredEdges)
 		}
+	}
+
+	next, err := se.Submit(context.Background(), apps.SSSP{Source: 0}, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSameRun(t, next, want, "after the join")
+	wantDead(t, next, "after the join")
+	if next.Servers[1].Joins != 1 {
+		t.Fatalf("server 1 reports %d joins, want 1", next.Servers[1].Joins)
 	}
 }
 

@@ -124,50 +124,11 @@ type job struct {
 
 	res     *Result
 	steps   [][]StepStats
-	errs    []error // hard per-server errors
-	cancels []error // per-server cancellation causes
-	loopMax int64   // nanoseconds, max over servers
-	grp     *jobGroup
+	errs    []error        // hard per-server errors
+	cancels []error        // per-server cancellation causes
+	loopMax int64          // nanoseconds, max over servers
+	grp     sync.WaitGroup // one count per server's runner
 }
-
-// jobGroup is the job's participant counter — a WaitGroup whose membership
-// can grow mid-flight. A server rejoining the session adds a replacement
-// runner to every in-flight job with tryAdd, which fails once the job has
-// completed: a rejoin racing the job's last doneOne is refused rather than
-// resurrecting a finished job.
-type jobGroup struct {
-	mu   sync.Mutex
-	n    int
-	over bool
-	done chan struct{}
-}
-
-func newJobGroup(n int) *jobGroup {
-	return &jobGroup{n: n, done: make(chan struct{})}
-}
-
-func (g *jobGroup) doneOne() {
-	g.mu.Lock()
-	g.n--
-	if g.n <= 0 && !g.over {
-		g.over = true
-		close(g.done)
-	}
-	g.mu.Unlock()
-}
-
-// tryAdd admits one more participant unless the job already completed.
-func (g *jobGroup) tryAdd() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.over {
-		return false
-	}
-	g.n++
-	return true
-}
-
-func (g *jobGroup) wait() { <-g.done }
 
 // Session is a persistent deployment of the engine: a booted simulated
 // cluster whose servers hold their assigned tiles on local disk, their
@@ -193,7 +154,8 @@ type Session struct {
 	// Multi-tenant machinery (Config.MaxConcurrentJobs > 1): the admission
 	// controller, the per-server shared plumbing, and the monotonically
 	// increasing job-ID source. submitWG tracks in-flight Submits so Close
-	// can wait for their fan-outs before closing the job channels.
+	// can wait for their fan-outs before closing the job channels. A serial
+	// session uses the controller only for its join pause.
 	multi    bool
 	sched    *jobScheduler
 	shared   []*nodeShared
@@ -201,12 +163,11 @@ type Session struct {
 	submitWG sync.WaitGroup
 
 	// Elastic-membership machinery: the per-rank session-lifetime servers
-	// (reviveServer respawns runners on them), the in-flight job registry
-	// (a rejoin must fold into every running job exactly once, and a
-	// multi-tenant one waits for it to empty), and the mailbox capacity
-	// rejoin routers are rebuilt with. regMu orders job registration against
-	// admission: a job is either registered before a revive (and gets a
-	// replacement runner) or after (and sees the grown membership itself).
+	// (reviveLocked clears their death flags), the in-flight job registry
+	// (a join waits for it to empty), and the mailbox capacity rejoin
+	// routers are rebuilt with. regMu orders job registration against
+	// admission: a job is either registered before a revive (and the join
+	// waits for it) or after (and sees the grown membership itself).
 	servers   []*server
 	regMu     sync.Mutex
 	inflight  map[*job]struct{}
@@ -218,7 +179,7 @@ type Session struct {
 
 	// closedFlag and deadFlag mirror closed/dead for lock-free readers —
 	// the join controller cannot take se.mu, which the serial Submit holds
-	// across a whole job (liveState).
+	// across a whole job, pause wait included (liveState).
 	closedFlag atomic.Bool
 	deadFlag   atomic.Pointer[error]
 }
@@ -233,9 +194,8 @@ func (se *Session) markDeadLocked(err error) {
 }
 
 // liveState is the lock-free closed/dead snapshot for the join controller,
-// which must not take se.mu: the serial Submit holds it across a whole job,
-// and the runner executing that job may be parked at its step edge waiting
-// on the very handshake that needs the snapshot.
+// which must not take se.mu: the serial Submit holds it across a whole job
+// and while it waits out the join's admission pause.
 func (se *Session) liveState() (closed bool, dead error) {
 	if p := se.deadFlag.Load(); p != nil {
 		dead = *p
@@ -331,9 +291,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 		inflight:  make(map[*job]struct{}),
 		routerCap: 2*numTiles + 64,
 	}
-	if multi {
-		se.sched = newJobScheduler(cfg.MaxConcurrentJobs, cfg.MaxQueuedJobs)
-	}
+	se.sched = newJobScheduler(cfg.MaxConcurrentJobs, cfg.MaxQueuedJobs)
 	for i := range se.shared {
 		ns := &nodeShared{}
 		if multi {
@@ -418,7 +376,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 					sv.shared.quiesceEnter()
 					fatal := sv.runJob(jb)
 					sv.shared.quiesceExit()
-					jb.grp.doneOne()
+					jb.grp.Done()
 					if fatal != nil {
 						return fatal
 					}
@@ -439,7 +397,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 					if fatal := r.runJob(jb); fatal != nil {
 						se.noteFatal(fatal)
 					}
-					jb.grp.doneOne()
+					jb.grp.Done()
 				}(jb)
 			}
 			runners.Wait()
@@ -519,11 +477,16 @@ func (se *Session) Submit(ctx context.Context, prog Program, opts JobOptions) (*
 	if err != nil {
 		return nil, err
 	}
+	// A pending join lands before this job starts. Serial Submits still
+	// serialize on se.mu, so there is nothing to queue or shed.
+	if err := se.sched.awaitResume(ctx); err != nil {
+		return nil, err
+	}
 	se.registerJob(jb)
 	for _, ch := range se.jobChs {
 		ch <- jb
 	}
-	jb.grp.wait()
+	jb.grp.Wait()
 	deadServers := se.deadServers() // before a between-jobs join can land
 	se.unregisterJob(jb)
 
@@ -615,7 +578,7 @@ func (se *Session) submitMulti(ctx context.Context, prog Program, opts JobOption
 	for _, ch := range se.jobChs {
 		ch <- jb
 	}
-	jb.grp.wait()
+	jb.grp.Wait()
 	se.retireJob(jb)
 	// The job ran on the membership it ends with: a pending join lands only
 	// once the registry is empty, so read the dead set while still in it.
@@ -665,7 +628,7 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 	if ckptEvery > 0 && se.cfg.Replication != AllInAll {
 		return nil, fmt.Errorf("core: CheckpointEvery requires All-in-All replication (recovery restores each survivor from its own full-vector checkpoint)")
 	}
-	return &job{
+	jb := &job{
 		prog:      prog,
 		ctx:       ctx,
 		maxSteps:  maxSteps,
@@ -680,14 +643,14 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 		steps:   make([][]StepStats, se.cfg.NumServers),
 		errs:    make([]error, se.cfg.NumServers),
 		cancels: make([]error, se.cfg.NumServers),
-		grp:     newJobGroup(se.cfg.NumServers),
-	}, nil
+	}
+	jb.grp.Add(se.cfg.NumServers)
+	return jb, nil
 }
 
 // registerJob enters a job into the in-flight registry before its fan-out.
 // The registry lock orders this against reviveLocked: a job registered
-// first gets a replacement runner on a rejoined server (serial) or defers
-// the join until it ends (multi-tenant); one registered after the revive
+// first defers the join until it ends; one registered after the revive
 // observes the grown membership from its first step.
 func (se *Session) registerJob(jb *job) {
 	se.regMu.Lock()
@@ -695,18 +658,11 @@ func (se *Session) registerJob(jb *job) {
 	se.regMu.Unlock()
 }
 
-// unregisterJob removes a finished job from the registry and scrubs its
-// zombie-ledger entries (a dead server that consumed the job records it
-// there; once the job is over the claim is moot).
+// unregisterJob removes a finished job from the registry.
 func (se *Session) unregisterJob(jb *job) {
 	se.regMu.Lock()
 	delete(se.inflight, jb)
 	se.regMu.Unlock()
-	for _, ns := range se.shared {
-		ns.zMu.Lock()
-		delete(ns.zombies, jb)
-		ns.zMu.Unlock()
-	}
 }
 
 // deadServers lists the ranks that are no longer cluster members.

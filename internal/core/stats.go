@@ -119,11 +119,11 @@ type ServerStats struct {
 	Recoveries   int           `json:"recoveries"`
 	RecoveryTime time.Duration `json:"recovery_time_ns"`
 	// Joins counts the times this server has rejoined the session so far
-	// (elastic membership — mid-job or between jobs, cumulative like the
-	// I/O counters); MembershipEpoch is the cluster membership epoch
-	// at the end of the job — it advances by one for every death *and*
-	// every join the session has seen, so operators can tell a churned
-	// cluster from a stable one even when deaths and joins cancel out.
+	// (elastic membership, between jobs; cumulative like the I/O
+	// counters); MembershipEpoch is the cluster membership epoch at the
+	// end of the job — it advances by one for every death *and* every join
+	// the session has seen, so operators can tell a churned cluster from a
+	// stable one even when deaths and joins cancel out.
 	Joins           int    `json:"joins"`
 	MembershipEpoch uint64 `json:"membership_epoch"`
 	// SharedTileLoads counts tiles this job took from the multi-tenant
