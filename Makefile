@@ -21,14 +21,15 @@ test:
 # ci is the tier-1 verify: everything must build, vet clean and pass.
 ci: build vet test
 
-# race runs the cluster, core, disk and cache suites — the packages with
-# real cross-goroutine traffic (pipelined sender, receive loop, worker
-# pools, the sweep-ahead prefetcher, the async batched reader, and the
-# multi-tenant session: concurrent Submits, the admission controller, the
-# share window and the per-job frame router; the concurrent-stress test
-# raises GOMAXPROCS to at least 4 itself) — under the race detector.
+# race runs the cluster, core, disk, cache and baseline suites — the
+# packages with real cross-goroutine traffic (pipelined sender, receive
+# loop, worker pools, the sweep-ahead prefetcher, the async batched reader,
+# the multi-tenant session: concurrent Submits, the admission controller,
+# the share window and the per-job frame router; the concurrent-stress test
+# raises GOMAXPROCS to at least 4 itself; and the baseline engines' streamed
+# receives) — under the race detector.
 race:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/core/ ./internal/disk/ ./internal/cache/
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/core/ ./internal/disk/ ./internal/cache/ ./internal/baseline/
 
 # check is the default gate: tier-1 plus race, the chaos suite, a short fuzz
 # budget, the documentation and API gates, the perf smoke pass, the
@@ -65,7 +66,7 @@ chaos:
 # flight), the session-killing disk fault, and the shared-sweep tile loads.
 # Each once failed a run in tens to hundreds — a torn tile read, a second
 # runner voting in a rejoined rank's barrier slot, jobs that never
-# overlapped, a lockstep rejoin schedule — so any failure is a regression.
+# overlapped — so any failure is a regression.
 FLAKE_TESTS = TestMultiJobCrashRecoverySweep|TestMultiJobRejoin|TestRejoinSweep|TestMultiJobSessionDead|TestMultiJobSharedLoads
 
 flake:

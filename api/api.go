@@ -81,8 +81,6 @@ type JobRequest struct {
 type RunOptions struct {
 	// MaxSupersteps bounds the job; 0 inherits the session default.
 	MaxSupersteps int `json:"max_supersteps,omitempty"`
-	// Lockstep opts this job onto the serialized communication baseline.
-	Lockstep bool `json:"lockstep,omitempty"`
 	// MessageCodec compresses this job's update broadcasts: raw, snappy,
 	// zlib-1 or zlib-3; "" inherits the session default.
 	MessageCodec string `json:"message_codec,omitempty"`

@@ -66,7 +66,7 @@ func TestDecodeJobRequest(t *testing.T) {
 		`{"program":{"name":"pagerank"}}`,
 		`{"program":{"name":"pagerank","damping":0.5},"options":{"max_supersteps":10}}`,
 		`{"program":{"name":"sssp","source":7},"options":{"message_codec":"zlib-1","weight":4}}`,
-		`{"program":{"name":"wcc"},"options":{"lockstep":true,"checkpoint_every":-1}}`,
+		`{"program":{"name":"wcc"},"options":{"checkpoint_every":-1}}`,
 	}
 	for _, s := range good {
 		if _, err := api.DecodeJobRequest([]byte(s)); err != nil {
@@ -85,6 +85,7 @@ func TestDecodeJobRequest(t *testing.T) {
 		`{"program":{"name":"pagerank"},"options":{"weight":-3}}`:               "negative weight",
 		`{"program":{"name":"pagerank"},"options":{"message_codec":"lz4"}}`:     "unknown codec",
 		`{"program":{"name":"pagerank"},"optionz":{}}`:                          "unknown field",
+		`{"program":{"name":"wcc"},"options":{"lockstep":true}}`:                "removed field",
 		`{"program":{"name":"pagerank"}}{"program":{"name":"wcc"}}`:             "trailing document",
 		``:        "empty body",
 		`"hello"`: "not an object",
@@ -102,7 +103,7 @@ func TestDecodeJobRequest(t *testing.T) {
 func FuzzDecodeJobRequest(f *testing.F) {
 	f.Add([]byte(`{"program":{"name":"pagerank"}}`))
 	f.Add([]byte(`{"program":{"name":"sssp","source":7},"options":{"max_supersteps":10,"message_codec":"snappy"}}`))
-	f.Add([]byte(`{"program":{"name":"wcc"},"options":{"lockstep":true,"weight":2,"checkpoint_every":-1}}`))
+	f.Add([]byte(`{"program":{"name":"wcc"},"options":{"message_codec":"zlib-3","weight":2,"checkpoint_every":-1}}`))
 	f.Add([]byte(`{"program":{"name":"bfs","source":4294967295}}`))
 	f.Add([]byte(`{"program":{"name":"pagerank","damping":0.99999}}`))
 	f.Add([]byte(`{`))

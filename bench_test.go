@@ -111,11 +111,9 @@ func BenchmarkAblationTileSize(b *testing.B) { runExperiment(b, "a5") }
 // tile codec, the allocation-free scratch buffers, and the pipelined
 // communication subsystem target (see PERF.md for tracked numbers; run with
 // -benchmem). The NIC is modelled at 1 Gbps so wire time is visible at
-// laptop scale: the pipelined variants overlap it with gather compute, the
-// Lockstep variants pay compute plus wire serially — the pair is the
-// tracked pipelined-vs-lockstep comparison. Scale follows
-// GRAPHH_BENCH_SCALE like the rest of the suite.
-func benchPageRank(b *testing.B, servers int, lockstep bool) {
+// laptop scale, and the pipelined sends overlap it with gather compute.
+// Scale follows GRAPHH_BENCH_SCALE like the rest of the suite.
+func benchPageRank(b *testing.B, servers int) {
 	g, err := graphh.Generate("uk2007-sim", benchCtx().Scale)
 	if err != nil {
 		b.Fatal(err)
@@ -128,7 +126,6 @@ func benchPageRank(b *testing.B, servers int, lockstep bool) {
 		Servers:       servers,
 		MaxSupersteps: 10,
 		NetBandwidth:  125e6, // 1 Gbps commodity NIC
-		Lockstep:      lockstep,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,7 +135,5 @@ func benchPageRank(b *testing.B, servers int, lockstep bool) {
 	}
 }
 
-func BenchmarkPageRank4Servers(b *testing.B)         { benchPageRank(b, 4, false) }
-func BenchmarkPageRank4ServersLockstep(b *testing.B) { benchPageRank(b, 4, true) }
-func BenchmarkPageRank8Servers(b *testing.B)         { benchPageRank(b, 8, false) }
-func BenchmarkPageRank8ServersLockstep(b *testing.B) { benchPageRank(b, 8, true) }
+func BenchmarkPageRank4Servers(b *testing.B) { benchPageRank(b, 4) }
+func BenchmarkPageRank8Servers(b *testing.B) { benchPageRank(b, 8) }

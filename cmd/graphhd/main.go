@@ -46,7 +46,7 @@ func main() {
 		tileSize   = flag.Int("tile-size", 0, "edges per tile S (0 = auto)")
 		cacheCap   = flag.Int64("cache-bytes", 0, "edge cache capacity per server (0 = unlimited, <0 disabled)")
 		cacheMode  = flag.String("cache-mode", "auto", "cache codec: auto, raw, snappy, zlib-1, zlib-3")
-		cachePol   = flag.String("cache-policy", "auto", "cache eviction: auto, admit-no-evict, lru, clock")
+		cachePol   = flag.String("cache-policy", "auto", "cache eviction: auto, admit-no-evict, clock")
 		msgCodec   = flag.String("msg-codec", "snappy", "default message codec: raw, snappy, zlib-1, zlib-3")
 		tcp        = flag.Bool("tcp", false, "use the TCP loopback transport between simulated servers")
 		symmetrize = flag.Bool("symmetrize", false, "add reverse edges before serving (needed by wcc)")

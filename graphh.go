@@ -51,7 +51,8 @@
 // compute finishes, so results stay bit-identical to a serial run; the send
 // queues are flushed before every BSP barrier so failures surface at step
 // edges. A superstep therefore costs max(compute, wire) rather than their
-// sum; Options.Lockstep restores the serialized baseline for comparison.
+// sum. Each destination's queue starts at 32 batches; a serial session
+// resizes it from the send stalls it observes.
 package graphh
 
 import (
@@ -134,9 +135,6 @@ const (
 	// remains, never evict. Optimal for a stable cyclic working set,
 	// frozen forever once full.
 	CacheAdmitNoEvict = cache.AdmitNoEvict
-	// CacheLRU evicts the least-recently-used tile — the Figure 7(b)
-	// baseline that thrashes under cyclic superstep access.
-	CacheLRU = cache.LRU
 	// CacheClock is the superstep-aware CLOCK/k-chance policy: tiles
 	// touched in the current superstep are protected, tiles untouched for
 	// two consecutive supersteps become eviction victims, so the resident
@@ -144,8 +142,8 @@ const (
 	CacheClock = cache.Clock
 )
 
-// CachePolicyByName parses a policy name ("admit-no-evict", "lru",
-// "clock") as printed by CachePolicy.String.
+// CachePolicyByName parses a policy name ("admit-no-evict", "clock") as
+// printed by CachePolicy.String.
 func CachePolicyByName(name string) (CachePolicy, error) { return cache.PolicyByName(name) }
 
 // CodecByName parses a codec name ("raw", "snappy", "zlib-1", "zlib-3") as
@@ -288,9 +286,9 @@ func Partition(g *Graph, opts PartitionOptions) (*Partitioned, error) {
 // Options configures a Run or an Open. The zero value runs single-server
 // with the paper's defaults (snappy message compression, hybrid
 // communication, automatic cache mode, All-in-All replication, Bloom tile
-// skipping). MaxSupersteps, Lockstep and MessageCodec are per-job settings
-// that historically lived here; on a session they act as defaults that
-// RunOptions can override per Submit.
+// skipping). MaxSupersteps and MessageCodec are per-job settings that
+// historically lived here; on a session they act as defaults that RunOptions
+// can override per Submit.
 type Options struct {
 	// Servers is N, the simulated cluster size (default 1).
 	Servers int
@@ -341,17 +339,6 @@ type Options struct {
 	OnDemandReplication bool
 	// DisableBloomSkip turns off inactive-tile skipping (§III-C-4).
 	DisableBloomSkip bool
-	// Lockstep disables the pipelined communication subsystem (see the
-	// package docs): broadcasts serialize under one per-server mutex and
-	// foreign batches are received in a blocking sweep after compute. Kept
-	// as the ablation baseline for the pipelined-vs-lockstep comparison.
-	// Per-job opt-in: RunOptions.Lockstep.
-	Lockstep bool
-	// SendQueueCap bounds each destination's pipelined send queue; full
-	// queues backpressure compute workers. 0 (the default) sizes the
-	// queues adaptively from the observed stall/high-water signal; a
-	// positive value is a static override.
-	SendQueueCap int
 	// DisableRebalance turns off the superstep-boundary tile rebalancer.
 	// By default (multi-server, All-in-All) the engine measures per-tile
 	// compute time and migrates tiles off a straggling server between
@@ -435,8 +422,6 @@ func (o Options) engineConfig() (core.Config, error) {
 	if o.DisableBloomSkip {
 		cfg.BloomSkip = false
 	}
-	cfg.Lockstep = o.Lockstep
-	cfg.SendQueueCap = o.SendQueueCap
 	if o.DisableRebalance {
 		cfg.Rebalance = core.RebalanceOff
 	}
@@ -457,10 +442,6 @@ func (o Options) engineConfig() (core.Config, error) {
 type RunOptions struct {
 	// MaxSupersteps bounds this job; 0 inherits Options.MaxSupersteps.
 	MaxSupersteps int
-	// Lockstep forces this job onto the serialized communication baseline.
-	// It can only opt in: a session opened with Options.Lockstep runs every
-	// job lockstep regardless.
-	Lockstep bool
 	// MessageCodec compresses this job's update broadcasts; nil inherits
 	// Options.MessageCodec (snappy by default).
 	MessageCodec *Codec
@@ -531,7 +512,6 @@ func Open(p *Partitioned, opts Options) (*Session, error) {
 func (s *Session) Submit(ctx context.Context, prog Program, ro RunOptions) (*Result, error) {
 	return s.s.Submit(ctx, prog, core.JobOptions{
 		MaxSupersteps:   ro.MaxSupersteps,
-		Lockstep:        ro.Lockstep,
 		MsgCodec:        ro.MessageCodec,
 		Progress:        ro.Progress,
 		CheckpointEvery: ro.CheckpointEvery,

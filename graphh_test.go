@@ -114,7 +114,6 @@ func TestOptionKnobs(t *testing.T) {
 	msg := graphh.CodecNone
 	raw := graphh.CodecNone
 	noEvict := graphh.CacheAdmitNoEvict
-	lru := graphh.CacheLRU
 	clock := graphh.CacheClock
 	// CacheCapacity is per server: with 2 servers each holds ~half the
 	// tiles, so a quarter of the total puts every server at ~50% of its
@@ -131,7 +130,6 @@ func TestOptionKnobs(t *testing.T) {
 		{Servers: 2, MaxSupersteps: 6, DisableBloomSkip: true},
 		{Servers: 2, MaxSupersteps: 6, CacheCapacity: -1},
 		{Servers: 2, MaxSupersteps: 6, CacheCapacity: tight, CacheMode: &raw, CachePolicy: &noEvict},
-		{Servers: 2, MaxSupersteps: 6, CacheCapacity: tight, CacheMode: &raw, CachePolicy: &lru},
 		{Servers: 2, MaxSupersteps: 6, CacheCapacity: tight, CacheMode: &raw, CachePolicy: &clock},
 	} {
 		opt.WorkDir = t.TempDir()

@@ -283,6 +283,22 @@ func decodePairs(buf []byte) ([]pair, error) {
 	return ps, nil
 }
 
+// recvPairs receives one pair message from every peer and hands each pair to
+// fn, message by message in arrival order. Decoded pairs never alias the
+// receive buffer, which is recycled after each message.
+func recvPairs(node *cluster.Node, fn func(p pair)) error {
+	return node.RecvStream(node.NumNodes()-1, func(_ int, m []byte) error {
+		ps, err := decodePairs(m)
+		if err != nil {
+			return err
+		}
+		for _, p := range ps {
+			fn(p)
+		}
+		return nil
+	})
+}
+
 // info builds the algorithm context from an edge list.
 func info(el *graph.EdgeList) (*Info, []uint32, []uint32) {
 	in, out := el.Degrees()

@@ -160,22 +160,15 @@ func RunGAS(el *graph.EdgeList, alg Alg, cfg Config) (*Result, error) {
 			}
 			incoming := outMaps[j]
 			if n > 1 {
-				msgs, _, err := node.RecvN(n - 1)
+				err := recvPairs(node, func(p pair) {
+					if prev, ok := incoming[p.id]; ok {
+						incoming[p.id] = alg.Combine(prev, p.val)
+					} else {
+						incoming[p.id] = p.val
+					}
+				})
 				if err != nil {
 					return err
-				}
-				for _, m := range msgs {
-					ps, err := decodePairs(m)
-					if err != nil {
-						return err
-					}
-					for _, p := range ps {
-						if prev, ok := incoming[p.id]; ok {
-							incoming[p.id] = alg.Combine(prev, p.val)
-						} else {
-							incoming[p.id] = p.val
-						}
-					}
 				}
 			}
 			node.Barrier() // separate gather traffic from sync traffic
@@ -228,19 +221,12 @@ func RunGAS(el *graph.EdgeList, alg Alg, cfg Config) (*Result, error) {
 			}
 			next := changedLocal
 			if n > 1 {
-				msgs, _, err := node.RecvN(n - 1)
+				err := recvPairs(node, func(p pair) {
+					vals[p.id] = p.val
+					next = append(next, p.id)
+				})
 				if err != nil {
 					return err
-				}
-				for _, m := range msgs {
-					ps, err := decodePairs(m)
-					if err != nil {
-						return err
-					}
-					for _, p := range ps {
-						vals[p.id] = p.val
-						next = append(next, p.id)
-					}
 				}
 			}
 			sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })

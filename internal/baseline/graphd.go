@@ -149,22 +149,15 @@ func RunGraphD(el *graph.EdgeList, alg Alg, cfg Config) (*Result, error) {
 
 			incoming := outMaps[j]
 			if n > 1 {
-				msgs, _, err := node.RecvN(n - 1)
+				err := recvPairs(node, func(p pair) {
+					if prev, ok := incoming[p.id]; ok {
+						incoming[p.id] = alg.Combine(prev, p.val)
+					} else {
+						incoming[p.id] = p.val
+					}
+				})
 				if err != nil {
 					return err
-				}
-				for _, m := range msgs {
-					ps, err := decodePairs(m)
-					if err != nil {
-						return err
-					}
-					for _, p := range ps {
-						if prev, ok := incoming[p.id]; ok {
-							incoming[p.id] = alg.Combine(prev, p.val)
-						} else {
-							incoming[p.id] = p.val
-						}
-					}
 				}
 			}
 

@@ -110,22 +110,15 @@ func RunPregel(el *graph.EdgeList, alg Alg, cfg Config) (*Result, error) {
 			// Receiver phase: merge own and remote combined messages.
 			incoming := outMaps[j]
 			if n > 1 {
-				msgs, _, err := node.RecvN(n - 1)
+				err := recvPairs(node, func(p pair) {
+					if prev, ok := incoming[p.id]; ok {
+						incoming[p.id] = alg.Combine(prev, p.val)
+					} else {
+						incoming[p.id] = p.val
+					}
+				})
 				if err != nil {
 					return err
-				}
-				for _, m := range msgs {
-					ps, err := decodePairs(m)
-					if err != nil {
-						return err
-					}
-					for _, p := range ps {
-						if prev, ok := incoming[p.id]; ok {
-							incoming[p.id] = alg.Combine(prev, p.val)
-						} else {
-							incoming[p.id] = p.val
-						}
-					}
 				}
 			}
 
@@ -204,20 +197,17 @@ func exchangeCount(node *cluster.Node, local int) (int, error) {
 	if err := node.Broadcast(buf); err != nil {
 		return 0, err
 	}
-	msgs, _, err := node.RecvN(node.NumNodes() - 1)
-	if err != nil {
-		return 0, err
-	}
 	total := local
-	for _, m := range msgs {
+	err := node.RecvStream(node.NumNodes()-1, func(_ int, m []byte) error {
 		if len(m) != 8 {
-			return 0, fmt.Errorf("baseline: bad count message length %d", len(m))
+			return fmt.Errorf("baseline: bad count message length %d", len(m))
 		}
 		v := int(m[0]) | int(m[1])<<8 | int(m[2])<<16 | int(m[3])<<24 |
 			int(m[4])<<32 | int(m[5])<<40 | int(m[6])<<48 | int(m[7])<<56
 		total += v
-	}
-	return total, nil
+		return nil
+	})
+	return total, err
 }
 
 // collectValues ships each server's (vertexID, value) pairs to rank 0,
@@ -238,18 +228,8 @@ func collectValues(node *cluster.Node, ids []uint32, vals []float64, out []float
 		out[v] = vals[v]
 	}
 	if node.NumNodes() > 1 {
-		msgs, _, err := node.RecvN(node.NumNodes() - 1)
-		if err != nil {
+		if err := recvPairs(node, func(p pair) { out[p.id] = p.val }); err != nil {
 			return err
-		}
-		for _, m := range msgs {
-			ps, err := decodePairs(m)
-			if err != nil {
-				return err
-			}
-			for _, p := range ps {
-				out[p.id] = p.val
-			}
 		}
 	}
 	node.Barrier()

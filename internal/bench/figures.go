@@ -202,10 +202,9 @@ func runFigure7(c *Context, w io.Writer) error {
 // set, under each eviction policy. The cache mode is pinned to raw so the
 // sweep isolates the eviction decision from compression trade-offs (those
 // are f7's subject). The paper plots only its admit-no-evict policy; the
-// LRU and CLOCK rows are this repo's extension — LRU shows the cyclic-sweep
-// collapse the paper's policy avoids, CLOCK matches admit-no-evict's hit
-// ratio while staying able to follow working-set shifts. The model columns
-// are the costmodel's analytic cyclic-sweep hit ratios.
+// CLOCK rows are this repo's extension — CLOCK matches admit-no-evict's hit
+// ratio while staying able to follow working-set shifts. The model column is
+// the costmodel's analytic cyclic-sweep hit ratio.
 func runFigure7b(c *Context, w io.Writer) error {
 	p, err := c.Partitioned("eu2015-sim")
 	if err != nil {
@@ -246,9 +245,6 @@ func runFigure7b(c *Context, w io.Writer) error {
 				hr = float64(hits) / float64(hits+misses)
 			}
 			model := costmodel.CyclicHitRatio(perServer, capacity)
-			if policy == cache.LRU {
-				model = costmodel.LRUCyclicHitRatio(perServer, capacity)
-			}
 			fmt.Fprintf(tw, "%d%%\t%s\t%.2f\t%.2f\t%s\t%s\t%d\n",
 				pct, policy, hr, model, ms(res.AvgStepDuration()), mb(rd), evictions)
 		}
@@ -256,7 +252,7 @@ func runFigure7b(c *Context, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "shape: admit-no-evict and clock hold the cached fraction at every budget; LRU collapses toward 0 as soon as the working set exceeds capacity (cyclic sweeps are its worst case)")
+	fmt.Fprintln(w, "shape: admit-no-evict and clock hold the cached fraction at every budget")
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -125,7 +124,7 @@ func runTable4(c *Context, w io.Writer) error {
 		chaosBytes := int64(el.NumEdges()) * 12
 		var tileBytes int64
 		for _, t := range p.Tiles {
-			tileBytes += int64(len(t.Encode()))
+			tileBytes += int64(t.EncodedSize())
 		}
 		// The paper's GraphH column also includes both degree arrays.
 		tileBytes += int64(el.NumVertices) * 8
@@ -149,20 +148,19 @@ func runTable5(c *Context, w io.Writer) error {
 			return err
 		}
 		// Concatenate encoded tiles: the byte stream the cache compresses.
-		var buf bytes.Buffer
+		var raw []byte
 		for _, t := range p.Tiles {
-			buf.Write(t.Encode())
+			raw = t.AppendEncode(raw)
 		}
-		raw := buf.Bytes()
 		for _, mode := range []compress.Mode{compress.Snappy, compress.Zlib1, compress.Zlib3} {
 			start := time.Now()
-			enc, err := mode.Compress(raw)
+			enc, err := mode.AppendCompress(nil, raw)
 			if err != nil {
 				return err
 			}
 			compDur := time.Since(start)
 			start = time.Now()
-			if _, err := mode.Decompress(enc); err != nil {
+			if _, err := mode.AppendDecompress(nil, enc); err != nil {
 				return err
 			}
 			decDur := time.Since(start)

@@ -9,15 +9,14 @@
 // mode can be chosen automatically from the total tile size and capacity
 // using the paper's rule (compress.SelectCacheMode).
 //
-// Three eviction policies are provided. AdmitNoEvict is the paper's: admit
-// while room remains, never evict — Figure 7(b) shows it beating LRU
-// because a BSP superstep sweeps tiles cyclically, the worst case for
-// recency eviction. LRU is kept as that ablation baseline. Clock is a
-// superstep-aware CLOCK/k-chance policy that fixes AdmitNoEvict's blind
-// spot (a frozen resident set that cannot follow a shifting working set):
-// the engine calls AdvanceEpoch at every superstep boundary, entries
-// touched in the current epoch are protected, and entries untouched for k
-// consecutive epochs become eviction victims.
+// Two eviction policies are provided. AdmitNoEvict is the paper's: admit
+// while room remains, never evict — Figure 7(b) shows it beating recency
+// eviction because a BSP superstep sweeps tiles cyclically, the worst case
+// for recency. Clock is a superstep-aware CLOCK/k-chance policy that fixes
+// AdmitNoEvict's blind spot (a frozen resident set that cannot follow a
+// shifting working set): the engine calls AdvanceEpoch at every superstep
+// boundary, entries touched in the current epoch are protected, and entries
+// untouched for k consecutive epochs become eviction victims.
 //
 // Invariants: the cache never stores an entry larger than its capacity and
 // never exceeds capacity overall; entries returned in mode None alias cache
@@ -70,8 +69,8 @@ type entry struct {
 	size int64
 	elem *list.Element
 	// lastEpoch is the epoch (superstep) of the entry's last touch —
-	// admission or hit. The Clock policy's reference test reads it; the
-	// other policies ignore it.
+	// admission or hit. The Clock policy's reference test reads it;
+	// AdmitNoEvict ignores it.
 	lastEpoch int64
 }
 
@@ -83,13 +82,10 @@ const (
 	// the cache system if the cache system is not full"; nothing is ever
 	// evicted. Under the cyclic tile access of a superstep loop this
 	// yields a stable hit ratio equal to the cached fraction of tiles —
-	// the behaviour Figure 7(b) plots — where LRU would thrash to zero.
+	// the behaviour Figure 7(b) plots — where least-recently-used eviction
+	// would thrash to zero, because each tile's reuse distance is the whole
+	// working set.
 	AdmitNoEvict Policy = iota
-	// LRU evicts least-recently-used entries to admit new ones. Kept as the
-	// Figure 7(b) ablation baseline: a superstep sweeps every tile exactly
-	// once, so each tile's reuse distance equals the whole working set and
-	// LRU always evicts the tile that will be needed soonest.
-	LRU
 	// Clock is the superstep-aware CLOCK/k-chance policy. The caller marks
 	// superstep boundaries with AdvanceEpoch; an entry touched in the
 	// current epoch is protected, and an entry untouched for k consecutive
@@ -103,15 +99,13 @@ const (
 )
 
 // Policies lists every eviction policy in declaration order.
-var Policies = []Policy{AdmitNoEvict, LRU, Clock}
+var Policies = []Policy{AdmitNoEvict, Clock}
 
 // String returns the policy name used in experiment output and CLI flags.
 func (p Policy) String() string {
 	switch p {
 	case AdmitNoEvict:
 		return "admit-no-evict"
-	case LRU:
-		return "lru"
 	case Clock:
 		return "clock"
 	default:
@@ -170,11 +164,10 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[int]*entry
-	// lru orders entries for victim selection. LRU: front = most recently
-	// used, evict from the back. Clock: insertion order (front = newest
-	// admission), swept back-to-front; hits do not reorder, so the ring is
-	// deterministic for a deterministic access sequence.
-	lru   *list.List
+	// ring orders entries for Clock's victim sweep: insertion order (front =
+	// newest admission), swept back-to-front; hits do not reorder, so the
+	// ring is deterministic for a deterministic access sequence.
+	ring  *list.List
 	bytes int64
 	stats Stats
 	// declined is set when an AdmitNoEvict insertion is turned away for
@@ -225,11 +218,6 @@ func New(capacityBytes int64, mode compress.Mode) (*Cache, error) {
 	return NewWithPolicy(capacityBytes, mode, AdmitNoEvict)
 }
 
-// NewLRU creates a cache that evicts least-recently-used tiles when full.
-func NewLRU(capacityBytes int64, mode compress.Mode) (*Cache, error) {
-	return NewWithPolicy(capacityBytes, mode, LRU)
-}
-
 // NewClock creates a cache with the superstep-aware CLOCK/k-chance policy
 // (k = DefaultChances). The owner must call AdvanceEpoch once per superstep
 // for the aging machinery to act; without it Clock behaves like
@@ -243,7 +231,7 @@ func NewWithPolicy(capacityBytes int64, mode compress.Mode, policy Policy) (*Cac
 	if !mode.Valid() {
 		return nil, fmt.Errorf("cache: invalid mode %d", int(mode))
 	}
-	if policy != AdmitNoEvict && policy != LRU && policy != Clock {
+	if policy != AdmitNoEvict && policy != Clock {
 		return nil, fmt.Errorf("cache: invalid policy %d", int(policy))
 	}
 	c := &Cache{
@@ -251,7 +239,7 @@ func NewWithPolicy(capacityBytes int64, mode compress.Mode, policy Policy) (*Cac
 		mode:          mode,
 		policy:        policy,
 		entries:       make(map[int]*entry),
-		lru:           list.New(),
+		ring:          list.New(),
 		chances:       DefaultChances,
 		declinedEpoch: noEpoch,
 		flights:       make(map[int]*flight),
@@ -352,11 +340,6 @@ func (c *Cache) getInto(id int, dst *csr.Tile, count bool) (*csr.Tile, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	if c.policy != Clock {
-		// Clock keeps its ring in insertion order; the reference test below
-		// carries all the recency information it needs.
-		c.lru.MoveToFront(e.elem)
-	}
 	e.lastEpoch = c.epoch
 	if count {
 		c.stats.Hits++
@@ -404,29 +387,27 @@ func (c *Cache) Put(id int, t *csr.Tile) error {
 	if c.capacity <= 0 {
 		return nil
 	}
-	if c.policy != LRU {
-		// Skip the compression work when even an optimistic size estimate
-		// cannot be admitted: once the cache fills, later misses must not
-		// keep paying compression CPU for entries that will be declined.
-		// For Clock the check consults the victim scan (an admission by
-		// eviction is still worth compressing for) and a failed scan
-		// settles declines for the rest of the epoch.
-		optimistic := int64(float64(t.SizeBytes()) / c.mode.ExpectedRatio())
-		c.mu.Lock()
-		skip := false
-		if _, present := c.entries[id]; !present && c.bytes+optimistic > c.capacity {
-			switch c.policy {
-			case AdmitNoEvict:
-				c.declined = true
-				skip = true
-			case Clock:
-				skip = !c.clockAdmissibleLocked(optimistic)
-			}
+	// Skip the compression work when even an optimistic size estimate
+	// cannot be admitted: once the cache fills, later misses must not keep
+	// paying compression CPU for entries that will be declined. For Clock
+	// the check consults the victim scan (an admission by eviction is still
+	// worth compressing for) and a failed scan settles declines for the
+	// rest of the epoch.
+	optimistic := int64(float64(t.SizeBytes()) / c.mode.ExpectedRatio())
+	c.mu.Lock()
+	skip := false
+	if _, present := c.entries[id]; !present && c.bytes+optimistic > c.capacity {
+		switch c.policy {
+		case AdmitNoEvict:
+			c.declined = true
+			skip = true
+		case Clock:
+			skip = !c.clockAdmissibleLocked(optimistic)
 		}
-		c.mu.Unlock()
-		if skip {
-			return nil
-		}
+	}
+	c.mu.Unlock()
+	if skip {
+		return nil
 	}
 	var e *entry
 	if c.mode == compress.None {
@@ -451,7 +432,7 @@ func (c *Cache) Put(id int, t *csr.Tile) error {
 	if !c.ensureRoomLocked(e.size) {
 		return nil
 	}
-	e.elem = c.lru.PushFront(e)
+	e.elem = c.ring.PushFront(e)
 	e.lastEpoch = c.epoch // admissions count as a touch: protected this sweep
 	c.entries[id] = e
 	c.bytes += e.size
@@ -468,16 +449,6 @@ func (c *Cache) ensureRoomLocked(size int64) bool {
 	case AdmitNoEvict:
 		c.declined = true
 		return false // full: the paper's cache simply declines (§IV-B)
-	case LRU:
-		for c.bytes+size > c.capacity {
-			back := c.lru.Back()
-			if back == nil {
-				break
-			}
-			c.removeLocked(back.Value.(*entry).id)
-			c.stats.Evictions++
-		}
-		return c.bytes+size <= c.capacity
 	case Clock:
 		need := c.bytes + size - c.capacity
 		if !c.clockAdmissibleLocked(size) {
@@ -518,7 +489,7 @@ func (c *Cache) clockAdmissibleLocked(size int64) bool {
 // oldest-admission-first and stopping as soon as `need` bytes are found.
 func (c *Cache) clockVictimBytesLocked(need int64) int64 {
 	var avail int64
-	for el := c.lru.Back(); el != nil && avail < need; el = el.Prev() {
+	for el := c.ring.Back(); el != nil && avail < need; el = el.Prev() {
 		if e := el.Value.(*entry); c.epoch-e.lastEpoch >= c.chances {
 			avail += e.size
 		}
@@ -530,7 +501,7 @@ func (c *Cache) clockVictimBytesLocked(need int64) int64 {
 // bytes have been freed.
 func (c *Cache) clockEvictLocked(need int64) {
 	var freed int64
-	for el := c.lru.Back(); el != nil && freed < need; {
+	for el := c.ring.Back(); el != nil && freed < need; {
 		prev := el.Prev()
 		if e := el.Value.(*entry); c.epoch-e.lastEpoch >= c.chances {
 			freed += e.size
@@ -684,10 +655,6 @@ func (c *Cache) loadMissInto(id int, dst *csr.Tile, load func(dst *csr.Tile) (*c
 			// admitted: zero copies — and zero allocations — in the steady
 			// state where the resident set is stable and misses decline.
 			scratchDecoded = true
-		default:
-			// LRU admits every tile, evicting others to fit, so it must own
-			// the decoded memory.
-			into = nil
 		}
 	}
 	t, err := load(into)
@@ -738,8 +705,6 @@ func (c *Cache) AdmitLoaded(id int, t *csr.Tile) error {
 			if !admit {
 				c.declined = true
 			}
-		default:
-			// LRU always admits, evicting from the cold end to fit.
 		}
 	}
 	c.mu.Unlock()
@@ -756,7 +721,7 @@ func (c *Cache) removeLocked(id int) {
 		return
 	}
 	c.bytes -= e.size
-	c.lru.Remove(e.elem)
+	c.ring.Remove(e.elem)
 	delete(c.entries, id)
 	// Freed capacity un-settles earlier declines: the next insertion must be
 	// reconsidered instead of being turned away by stale full-cache state

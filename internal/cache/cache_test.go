@@ -2,11 +2,13 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/costmodel"
 	"repro/internal/csr"
 	"repro/internal/graph"
 	"repro/internal/tile"
@@ -96,35 +98,6 @@ func TestCompressedModeUsesLessMemory(t *testing.T) {
 	rb, zb := raw.Stats().BytesCached, zl.Stats().BytesCached
 	if zb >= rb {
 		t.Fatalf("zlib-3 cache (%dB) not smaller than raw (%dB)", zb, rb)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	tiles := makeTiles(t, 6)
-	// Capacity that holds any two of the first three tiles but not all
-	// three, so inserting the third forces exactly one eviction.
-	capacity := tiles[0].SizeBytes() + tiles[1].SizeBytes() + tiles[2].SizeBytes() - 1
-	c, err := NewLRU(capacity, compress.None)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put(0, tiles[0])
-	c.Put(1, tiles[1])
-	if _, ok := c.Get(0); !ok { // touch 0 so 1 becomes LRU
-		t.Fatal("tile 0 should be cached")
-	}
-	c.Put(2, tiles[2]) // must evict tile 1
-	if _, ok := c.Get(1); ok {
-		t.Fatal("LRU victim still cached")
-	}
-	if _, ok := c.Get(0); !ok {
-		t.Fatal("recently used tile evicted")
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("eviction not counted")
-	}
-	if got := c.Stats().BytesCached; got > capacity {
-		t.Fatalf("cache over capacity: %d > %d", got, capacity)
 	}
 }
 
@@ -228,39 +201,26 @@ func TestInvalidMode(t *testing.T) {
 
 func TestAdmitNoEvictKeepsStableSet(t *testing.T) {
 	// The paper's policy: under cyclic access, the first tiles to fit stay
-	// cached and the hit ratio settles at the cached fraction instead of
-	// thrashing to zero as LRU would.
-	tiles := makeTiles(t, 4)
-	capacity := tiles[0].SizeBytes() + tiles[1].SizeBytes() + 1
-	paper, err := New(capacity, compress.None)
+	// cached and the steady hit ratio is the cached fraction of the working
+	// set, never the zero that recency eviction would thrash to.
+	tiles := uniformTiles(t, 4)
+	size := tiles[0].SizeBytes()
+	paper, err := New(2*size, compress.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := NewLRU(capacity, compress.None)
-	if err != nil {
-		t.Fatal(err)
+	ids := []int{0, 1, 2, 3}
+	sweep(t, paper, tiles, ids) // warm-up: every tile misses once
+	paper.ResetStats()
+	for round := 0; round < 9; round++ {
+		sweep(t, paper, tiles, ids)
 	}
-	for round := 0; round < 10; round++ {
-		for id, tl := range tiles {
-			if _, ok := paper.Get(id); !ok {
-				paper.Put(id, tl)
-			}
-			if _, ok := lru.Get(id); !ok {
-				lru.Put(id, tl)
-			}
-		}
-	}
-	ps, ls := paper.Stats(), lru.Stats()
+	ps := paper.Stats()
 	if ps.Evictions != 0 {
 		t.Fatalf("paper policy evicted %d entries", ps.Evictions)
 	}
-	// ~2 of 4 tiles cached → hit ratio near 0.5 after warmup.
-	if ps.HitRatio() < 0.3 {
-		t.Fatalf("paper policy hit ratio %.2f, want ≥0.3", ps.HitRatio())
-	}
-	// Cyclic access at this capacity thrashes LRU to (near) zero hits.
-	if ls.HitRatio() > ps.HitRatio() {
-		t.Fatalf("LRU (%.2f) beat no-evict (%.2f) on cyclic access", ls.HitRatio(), ps.HitRatio())
+	if want := costmodel.CyclicHitRatio(4*size, 2*size); math.Abs(ps.HitRatio()-want) > 1e-9 {
+		t.Fatalf("paper policy hit ratio %.3f, want the cyclic model's %.3f", ps.HitRatio(), want)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // loadFrom adapts a tile to the GetOrLoadInto load contract: decode the
 // encoded form into dst when given, else into a fresh tile.
 func loadFrom(src *csr.Tile) func(dst *csr.Tile) (*csr.Tile, error) {
-	enc := src.Encode()
+	enc := src.AppendEncode(nil)
 	return func(dst *csr.Tile) (*csr.Tile, error) {
 		if dst == nil {
-			return csr.Decode(enc)
+			dst = new(csr.Tile)
 		}
 		if err := csr.DecodeInto(dst, enc); err != nil {
 			return nil, err
@@ -38,7 +38,7 @@ func TestGetOrLoadIntoMatchesGetOrLoad(t *testing.T) {
 		var scratch csr.Tile
 		for round := 0; round < 2; round++ {
 			for id, tl := range tiles {
-				ta, err := a.GetOrLoad(id, func() (*csr.Tile, error) { return csr.Decode(tl.Encode()) })
+				ta, err := a.GetOrLoad(id, func() (*csr.Tile, error) { return loadFrom(tl)(nil) })
 				if err != nil {
 					t.Fatal(err)
 				}

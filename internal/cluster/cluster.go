@@ -146,9 +146,8 @@ type Metrics struct {
 
 // message is the unit moved by transports. payload is the received bytes;
 // pool, when non-nil, is the pooled holder backing payload — whoever
-// finishes with the message returns it via putWireBuf (RecvStream does this
-// after the callback; Recv instead detaches the buffer and hands ownership
-// to the caller).
+// finishes with the message returns it via putWireBuf (the receive calls do
+// this after the callback).
 type message struct {
 	from    int
 	payload []byte
@@ -338,7 +337,7 @@ func (c *Cluster) Node(i int) *Node {
 	return &Node{c: c, id: i}
 }
 
-// Close shuts the transport down. Pending Recv calls return errors.
+// Close shuts the transport down. Pending receives return errors.
 func (c *Cluster) Close() error {
 	c.closedMu.Lock()
 	defer c.closedMu.Unlock()
@@ -590,28 +589,9 @@ func (n *Node) Broadcast(payload []byte) error {
 	return nil
 }
 
-// Recv blocks until a message addressed to this node arrives, returning the
-// sender's rank and the payload. The caller owns the payload: its backing
-// buffer is detached from the receive pool, so it stays valid indefinitely
-// at the cost of one pool miss downstream. Hot receive loops should prefer
-// RecvStream, which keeps buffers cycling.
-func (n *Node) Recv() (from int, payload []byte, err error) {
-	m, err := n.recvMsg(nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	// Ownership transfers to the caller; the holder is simply not recycled.
-	return m.from, m.payload, nil
-}
-
-// recvMsg is the shared receive path: one transport recv plus traffic
-// accounting. The returned message may carry a pooled holder. A nil cancel
-// channel blocks indefinitely (the classic behaviour).
-func (n *Node) recvMsg(cancel <-chan struct{}) (message, error) {
-	return n.recvMsgStall(cancel, nil)
-}
-
-// recvMsgStall is recvMsg with an optional stall-timer channel. It enforces
+// recvMsgStall is the node's one receive path: one transport recv plus
+// traffic accounting, with optional cancel and stall-timer channels (nil
+// never fires). The returned message may carry a pooled holder. It enforces
 // the membership contract: a receiver whose acknowledged epoch lags the
 // cluster's fails with ErrMembershipChanged (and is woken out of a blocked
 // receive when a declaration happens), and frames from dead senders are
@@ -641,33 +621,15 @@ func (n *Node) recvMsgStall(cancel <-chan struct{}, stall <-chan time.Time) (mes
 }
 
 // RecvStream receives exactly count messages, invoking fn for each one as
-// it arrives — the streaming counterpart of RecvN, and the allocation-free
-// receive path: each payload's backing buffer is recycled into the receive
-// pool the moment fn returns, so fn must not retain the payload (copy what
-// it needs). fn runs on the caller's goroutine, so a slow callback delays
-// subsequent receives. A callback error stops the stream and is returned
-// as-is.
+// it arrives — the allocation-free counted receive: each payload's backing
+// buffer is recycled into the receive pool the moment fn returns, so fn
+// must not retain the payload (copy what it needs). fn runs on the caller's
+// goroutine, so a slow callback delays subsequent receives. A callback
+// error stops the stream and is returned as-is.
 func (n *Node) RecvStream(count int, fn func(from int, payload []byte) error) error {
-	return n.recvStream(nil, nil, count, fn)
-}
-
-// RecvStreamCtx is RecvStream with cancellation: when ctx is cancelled
-// between messages the stream stops and ctx.Err() is returned. A message
-// that already reached the node's inbox always wins over a racing cancel,
-// so no delivered payload is lost; messages still in flight stay queued
-// for a later receive (callers running a counted protocol must drain
-// them before reusing the transport).
-func (n *Node) RecvStreamCtx(ctx context.Context, count int, fn func(from int, payload []byte) error) error {
-	return n.recvStream(ctx, ctx.Done(), count, fn)
-}
-
-func (n *Node) recvStream(ctx context.Context, cancel <-chan struct{}, count int, fn func(from int, payload []byte) error) error {
 	for i := 0; i < count; i++ {
-		m, err := n.recvMsg(cancel)
+		m, err := n.recvMsgStall(nil, nil)
 		if err != nil {
-			if errors.Is(err, errCancelled) {
-				return ctx.Err()
-			}
 			return err
 		}
 		err = fn(m.from, m.payload)
@@ -677,23 +639,6 @@ func (n *Node) recvStream(ctx context.Context, cancel <-chan struct{}, count int
 		}
 	}
 	return nil
-}
-
-// RecvN receives exactly count messages, the per-superstep gather pattern
-// (each node expects one update broadcast from every peer). The returned
-// payloads are caller-owned (never recycled).
-func (n *Node) RecvN(count int) ([][]byte, []int, error) {
-	payloads := make([][]byte, 0, count)
-	froms := make([]int, 0, count)
-	for i := 0; i < count; i++ {
-		from, p, err := n.Recv()
-		if err != nil {
-			return nil, nil, err
-		}
-		payloads = append(payloads, p)
-		froms = append(froms, from)
-	}
-	return payloads, froms, nil
 }
 
 // RecvStreamWhile receives messages until fn reports it is done, with the
@@ -917,7 +862,7 @@ func (n *Node) MembershipStaleAt(acked uint64) bool {
 // Run executes fn once per node, each on its own goroutine (the SPMD
 // pattern of an MPI program), and blocks until every node returns. If any
 // node fails, the cluster aborts — the barrier breaks and the transport
-// closes — so peers blocked in Recv or Barrier unwind instead of hanging;
+// closes — so peers blocked in a receive or Barrier unwind instead of hanging;
 // Run then reports the root-cause error rather than the secondary
 // ErrClosed failures the abort provokes.
 func (c *Cluster) Run(fn func(n *Node) error) error {
@@ -959,7 +904,7 @@ func FirstNodeError(errs []error) error {
 }
 
 // abort breaks the barriers — main and per-job — and closes the transport so
-// that every node blocked in Barrier or Recv unwinds.
+// that every node blocked in Barrier or a receive unwinds.
 func (c *Cluster) abort() {
 	c.membMu.Lock()
 	c.jobsBroken = true

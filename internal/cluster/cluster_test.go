@@ -10,6 +10,27 @@ import (
 
 func transports() []TransportKind { return []TransportKind{Inproc, TCP} }
 
+// recvOne receives one message through the counted receive and returns its
+// sender and a copy of its payload (the receive buffer is recycled).
+func recvOne(n *Node) (from int, payload []byte, err error) {
+	err = n.RecvStream(1, func(f int, p []byte) error {
+		from, payload = f, append([]byte(nil), p...)
+		return nil
+	})
+	return from, payload, err
+}
+
+// recvN receives count messages, returning copies of the payloads and their
+// senders in arrival order.
+func recvN(n *Node, count int) (payloads [][]byte, froms []int, err error) {
+	err = n.RecvStream(count, func(f int, p []byte) error {
+		payloads = append(payloads, append([]byte(nil), p...))
+		froms = append(froms, f)
+		return nil
+	})
+	return payloads, froms, err
+}
+
 func TestSendRecv(t *testing.T) {
 	for _, tr := range transports() {
 		t.Run(tr.String(), func(t *testing.T) {
@@ -22,7 +43,7 @@ func TestSendRecv(t *testing.T) {
 				if n.ID() == 0 {
 					return n.Send(1, []byte("hello from 0"))
 				}
-				from, payload, err := n.Recv()
+				from, payload, err := recvOne(n)
 				if err != nil {
 					return err
 				}
@@ -52,7 +73,7 @@ func TestBroadcast(t *testing.T) {
 				if err := node.Broadcast(msg); err != nil {
 					return err
 				}
-				payloads, froms, err := node.RecvN(n - 1)
+				payloads, froms, err := recvN(node, n-1)
 				if err != nil {
 					return err
 				}
@@ -95,7 +116,7 @@ func TestBSPSupersteps(t *testing.T) {
 					if err := node.Broadcast(msg); err != nil {
 						return err
 					}
-					payloads, _, err := node.RecvN(n - 1)
+					payloads, _, err := recvN(node, n-1)
 					if err != nil {
 						return err
 					}
@@ -152,7 +173,7 @@ func TestSelfSend(t *testing.T) {
 			if err := n.Send(0, []byte("self")); err != nil {
 				t.Fatal(err)
 			}
-			from, p, err := n.Recv()
+			from, p, err := recvOne(n)
 			if err != nil || from != 0 || string(p) != "self" {
 				t.Fatalf("self send: %q from %d, %v", p, from, err)
 			}
@@ -177,7 +198,7 @@ func TestPayloadCopiedOnSend(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(buf, "MUTATED!")
-			_, p, err := c.Node(1).Recv()
+			_, p, err := recvOne(c.Node(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +222,7 @@ func TestMetrics(t *testing.T) {
 				if n.ID() == 0 {
 					return n.Broadcast(payload)
 				}
-				_, _, err := n.Recv()
+				_, _, err := recvOne(n)
 				return err
 			})
 			if err != nil {
@@ -236,7 +257,7 @@ func TestNetBandwidthThrottle(t *testing.T) {
 		if n.ID() == 0 {
 			return n.Send(1, payload)
 		}
-		_, _, err := n.Recv()
+		_, _, err := recvOne(n)
 		return err
 	})
 	if err != nil {
@@ -295,7 +316,7 @@ func TestCloseUnblocksRecv(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				_, _, err := c.Node(1).Recv()
+				_, _, err := recvOne(c.Node(1))
 				done <- err
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -305,10 +326,10 @@ func TestCloseUnblocksRecv(t *testing.T) {
 			select {
 			case err := <-done:
 				if err == nil {
-					t.Fatal("Recv returned nil after close")
+					t.Fatal("receive returned nil after close")
 				}
 			case <-time.After(2 * time.Second):
-				t.Fatal("Recv still blocked after close")
+				t.Fatal("receive still blocked after close")
 			}
 		})
 	}
@@ -328,7 +349,7 @@ func TestLargePayloadTCP(t *testing.T) {
 		if n.ID() == 0 {
 			return n.Send(1, payload)
 		}
-		_, p, err := n.Recv()
+		_, p, err := recvOne(n)
 		if err != nil {
 			return err
 		}
@@ -356,7 +377,7 @@ func TestManyNodesStress(t *testing.T) {
 					if err := node.Broadcast([]byte{byte(node.ID()), byte(s)}); err != nil {
 						return err
 					}
-					if _, _, err := node.RecvN(n - 1); err != nil {
+					if _, _, err := recvN(node, n-1); err != nil {
 						return err
 					}
 					node.Barrier()

@@ -24,7 +24,7 @@ type Buf struct {
 // apply backpressure when a destination queue is full. Flush drains every
 // queue — the barrier edge of a BSP superstep — and reports the first
 // asynchronous send error; a send error also aborts the cluster so peers
-// blocked in Recv or Barrier unwind instead of hanging.
+// blocked in a receive or Barrier unwind instead of hanging.
 //
 // A Sender is safe for concurrent use by many goroutines (the engine's
 // compute workers all enqueue through one Sender).

@@ -147,7 +147,7 @@ func TestSenderFlushDelivers(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := c.Node(1).RecvN(count); err != nil {
+			if _, _, err := recvN(c.Node(1), count); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
@@ -179,7 +179,7 @@ func TestSenderBufferRecycled(t *testing.T) {
 	if b2 := s.Acquire(); b2 != b1 {
 		t.Fatal("flushed buffer was not returned to the pool")
 	}
-	if _, _, err := c.Node(1).Recv(); err != nil {
+	if _, _, err := recvOne(c.Node(1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -282,7 +282,7 @@ func TestSenderQueueMetrics(t *testing.T) {
 		}
 		for m := 0; m < count; m++ {
 			time.Sleep(time.Millisecond)
-			if _, _, err := n.Recv(); err != nil {
+			if _, _, err := recvOne(n); err != nil {
 				return err
 			}
 		}

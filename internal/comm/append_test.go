@@ -28,15 +28,15 @@ func buildBatch(n, updates int) *Batch {
 	return b
 }
 
-// TestAppendEncodeMatchesEncode checks that the append-style encoder
-// produces byte-identical messages to Encode, including when appending after
-// existing bytes.
+// TestAppendEncodeMatchesEncode checks that appending a message after
+// existing bytes produces the byte-identical message, and encoding report,
+// of an encode into an empty buffer.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	for _, codec := range compress.Modes {
 		for _, choice := range []ModeChoice{Auto, ForceDense, ForceSparse} {
 			b := buildBatch(512, 37)
 			opts := Options{Choice: choice, Codec: codec}
-			want, wantEnc, err := Encode(b, opts)
+			want, wantEnc, err := AppendEncode(nil, b, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 				t.Fatalf("codec %v: AppendEncode clobbered the prefix", codec)
 			}
 			if !bytes.Equal(got[len(prefix):], want) {
-				t.Fatalf("codec %v choice %v: AppendEncode differs from Encode", codec, choice)
+				t.Fatalf("codec %v choice %v: appended message differs from a fresh one", codec, choice)
 			}
 			if gotEnc != wantEnc {
 				t.Fatalf("codec %v: encoding report %+v != %+v", codec, gotEnc, wantEnc)
@@ -70,11 +70,11 @@ func TestDecodeIntoReuse(t *testing.T) {
 		{16, 0},     // empty
 	} {
 		b := buildBatch(shape.n, shape.updates)
-		msg, _, err := Encode(b, Options{Codec: compress.Snappy})
+		msg, _, err := AppendEncode(nil, b, Options{Codec: compress.Snappy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := Decode(msg)
+		want, _, err := decode(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 
 // TestDecodeRejectsHugeHeaderWithoutAllocating corrupts the header's range
 // and count fields — which the body CRC does not cover — to extreme values
-// and checks both decode paths reject the message via the body-size checks
+// and checks DecodeInto rejects the message via the body-size checks
 // instead of attempting a count-sized allocation first.
 func TestDecodeRejectsHugeHeaderWithoutAllocating(t *testing.T) {
 	if racedetect.Enabled {
@@ -106,7 +106,7 @@ func TestDecodeRejectsHugeHeaderWithoutAllocating(t *testing.T) {
 	b := buildBatch(256, 17)
 	for _, codec := range []compress.Mode{compress.None, compress.Snappy} {
 		for _, choice := range []ModeChoice{ForceDense, ForceSparse} {
-			msg, _, err := Encode(b, Options{Choice: choice, Codec: codec})
+			msg, _, err := AppendEncode(nil, b, Options{Choice: choice, Codec: codec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +115,6 @@ func TestDecodeRejectsHugeHeaderWithoutAllocating(t *testing.T) {
 			binary.LittleEndian.PutUint32(bad[10:], 0xFFFFFFFF) // Hi
 			binary.LittleEndian.PutUint32(bad[14:], 0xFFFFFFFE) // count
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, _, err := Decode(bad); err == nil {
-					t.Fatal("huge-header message accepted")
-				}
 				var dst Batch
 				if _, err := DecodeInto(&dst, bad); err == nil {
 					t.Fatal("huge-header message accepted by DecodeInto")
@@ -183,7 +180,7 @@ func TestDecodeIntoAllocs(t *testing.T) {
 		{"snappy", compress.Snappy, 0},
 	} {
 		b := buildBatch(4096, 512)
-		msg, _, err := Encode(b, Options{Codec: tc.codec})
+		msg, _, err := AppendEncode(nil, b, Options{Codec: tc.codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +205,7 @@ func BenchmarkEncodeDenseSnappy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Encode(batch, opts); err != nil {
+		if _, _, err := AppendEncode(nil, batch, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +243,7 @@ func BenchmarkAppendEncodeSparseSnappy(b *testing.B) {
 
 func BenchmarkDecodeIntoDenseSnappy(b *testing.B) {
 	batch := buildBatch(1<<16, 1<<14)
-	msg, _, err := Encode(batch, Options{Choice: ForceDense, Codec: compress.Snappy})
+	msg, _, err := AppendEncode(nil, batch, Options{Choice: ForceDense, Codec: compress.Snappy})
 	if err != nil {
 		b.Fatal(err)
 	}

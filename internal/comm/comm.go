@@ -129,16 +129,12 @@ const magicByte = 0xB7
 // supersteps do not allocate a body per batch.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Encode serializes the batch per the options. The updates must be sorted
-// by id and lie within [Lo,Hi); Encode validates this.
-func Encode(b *Batch, opts Options) ([]byte, Encoding, error) {
-	return AppendEncode(nil, b, opts)
-}
-
-// AppendEncode appends the encoded message to dst and returns the extended
-// slice. When dst has enough spare capacity the only per-call allocation is
-// internal scratch, which is pooled — workers reuse one wire buffer per tile
-// per superstep this way instead of allocating every broadcast.
+// AppendEncode serializes the batch per the options, appending the message
+// to dst and returning the extended slice. The updates must be sorted by id
+// and lie within [Lo,Hi); AppendEncode validates this. When dst has enough
+// spare capacity the only per-call allocation is internal scratch, which is
+// pooled — workers reuse one wire buffer per tile per superstep this way
+// instead of allocating every broadcast.
 func AppendEncode(dst []byte, b *Batch, opts Options) ([]byte, Encoding, error) {
 	if err := validateBatch(b); err != nil {
 		return nil, Encoding{}, err
@@ -253,20 +249,10 @@ func encodeSparseInto(body []byte, b *Batch) []byte {
 	return body
 }
 
-// Decode parses a message produced by Encode.
-func Decode(msg []byte) (*Batch, Encoding, error) {
-	b := new(Batch)
-	enc, err := DecodeInto(b, msg)
-	if err != nil {
-		return nil, Encoding{}, err
-	}
-	return b, enc, nil
-}
-
-// DecodeInto parses a message produced by Encode into b, reusing b's update
-// slice when its capacity suffices — the receive loop decodes every foreign
-// batch of a superstep into one reused Batch this way. On error b's contents
-// are unspecified. The decoded batch never aliases msg.
+// DecodeInto parses a message produced by AppendEncode into b, reusing b's
+// update slice when its capacity suffices — the receive loop decodes every
+// foreign batch of a superstep into one reused Batch this way. On error b's
+// contents are unspecified. The decoded batch never aliases msg.
 func DecodeInto(b *Batch, msg []byte) (Encoding, error) {
 	if len(msg) < headerSize {
 		return Encoding{}, fmt.Errorf("comm: message too short (%d bytes)", len(msg))

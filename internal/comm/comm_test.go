@@ -17,6 +17,13 @@ func makeBatch(lo, hi uint32, ids []uint32, rng *rand.Rand) *Batch {
 	return b
 }
 
+// decode parses msg into a fresh Batch.
+func decode(msg []byte) (*Batch, Encoding, error) {
+	b := new(Batch)
+	enc, err := DecodeInto(b, msg)
+	return b, enc, err
+}
+
 func sameBatch(t *testing.T, a, b *Batch) {
 	t.Helper()
 	if a.TileID != b.TileID || a.Lo != b.Lo || a.Hi != b.Hi {
@@ -37,11 +44,11 @@ func TestRoundTripDenseAndSparse(t *testing.T) {
 	b := makeBatch(100, 200, []uint32{100, 101, 150, 199}, rng)
 	for _, choice := range []ModeChoice{ForceDense, ForceSparse, Auto} {
 		for _, codec := range compress.Modes {
-			msg, enc, err := Encode(b, Options{Choice: choice, Codec: codec})
+			msg, enc, err := AppendEncode(nil, b, Options{Choice: choice, Codec: codec})
 			if err != nil {
 				t.Fatalf("choice=%v codec=%v: %v", choice, codec, err)
 			}
-			got, gotEnc, err := Decode(msg)
+			got, gotEnc, err := decode(msg)
 			if err != nil {
 				t.Fatalf("choice=%v codec=%v decode: %v", choice, codec, err)
 			}
@@ -61,7 +68,7 @@ func TestHybridSwitchesAtThreshold(t *testing.T) {
 		ids = append(ids, i*3)
 	}
 	dense := makeBatch(0, 100, ids, rng)
-	_, enc, err := Encode(dense, Options{})
+	_, enc, err := AppendEncode(nil, dense, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +77,7 @@ func TestHybridSwitchesAtThreshold(t *testing.T) {
 	}
 	// 10 updates → sparsity 0.9 → sparse.
 	sparse := makeBatch(0, 100, ids[:10], rng)
-	_, enc, err = Encode(sparse, Options{})
+	_, enc, err = AppendEncode(nil, sparse, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +85,7 @@ func TestHybridSwitchesAtThreshold(t *testing.T) {
 		t.Fatalf("sparsity 0.9 encoded as %v, want sparse", enc.Mode)
 	}
 	// Custom threshold 0.5: 30 updates (sparsity 0.7) now goes sparse.
-	_, enc, err = Encode(dense, Options{SparsityThreshold: 0.5})
+	_, enc, err = AppendEncode(nil, dense, Options{SparsityThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +111,11 @@ func TestWireSizes(t *testing.T) {
 	n := uint32(1000)
 	few := makeBatch(0, n, []uint32{3, 500, 900}, rng)
 
-	denseMsg, _, err := Encode(few, Options{Choice: ForceDense})
+	denseMsg, _, err := AppendEncode(nil, few, Options{Choice: ForceDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparseMsg, _, err := Encode(few, Options{Choice: ForceSparse})
+	sparseMsg, _, err := AppendEncode(nil, few, Options{Choice: ForceSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +130,11 @@ func TestWireSizes(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		all.Updates = append(all.Updates, Update{ID: i, Value: 1.5})
 	}
-	denseAll, _, err := Encode(all, Options{Choice: ForceDense})
+	denseAll, _, err := AppendEncode(nil, all, Options{Choice: ForceDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparseAll, _, err := Encode(all, Options{Choice: ForceSparse})
+	sparseAll, _, err := AppendEncode(nil, all, Options{Choice: ForceSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +150,11 @@ func TestCompressionReducesTraffic(t *testing.T) {
 	for i := uint32(0); i < 5000; i++ {
 		b.Updates = append(b.Updates, Update{ID: i, Value: 0.15})
 	}
-	raw, _, err := Encode(b, Options{Choice: ForceDense, Codec: compress.None})
+	raw, _, err := AppendEncode(nil, b, Options{Choice: ForceDense, Codec: compress.None})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := Encode(b, Options{Choice: ForceDense, Codec: compress.Snappy})
+	snap, _, err := AppendEncode(nil, b, Options{Choice: ForceDense, Codec: compress.Snappy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +166,19 @@ func TestCompressionReducesTraffic(t *testing.T) {
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	outOfRange := makeBatch(10, 20, []uint32{5}, rng)
-	if _, _, err := Encode(outOfRange, Options{}); err == nil {
+	if _, _, err := AppendEncode(nil, outOfRange, Options{}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
 	unsorted := &Batch{Lo: 0, Hi: 10, Updates: []Update{{ID: 5}, {ID: 3}}}
-	if _, _, err := Encode(unsorted, Options{}); err == nil {
+	if _, _, err := AppendEncode(nil, unsorted, Options{}); err == nil {
 		t.Fatal("unsorted updates accepted")
 	}
 	dup := &Batch{Lo: 0, Hi: 10, Updates: []Update{{ID: 5}, {ID: 5}}}
-	if _, _, err := Encode(dup, Options{}); err == nil {
+	if _, _, err := AppendEncode(nil, dup, Options{}); err == nil {
 		t.Fatal("duplicate updates accepted")
 	}
 	inverted := &Batch{Lo: 10, Hi: 5}
-	if _, _, err := Encode(inverted, Options{}); err == nil {
+	if _, _, err := AppendEncode(nil, inverted, Options{}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -179,7 +186,7 @@ func TestValidation(t *testing.T) {
 func TestDecodeCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	b := makeBatch(0, 50, []uint32{1, 2, 3}, rng)
-	msg, _, err := Encode(b, Options{Codec: compress.Snappy})
+	msg, _, err := AppendEncode(nil, b, Options{Codec: compress.Snappy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,20 +197,20 @@ func TestDecodeCorrupt(t *testing.T) {
 		"truncated": msg[:len(msg)-3],
 	}
 	for name, m := range cases {
-		if _, _, err := Decode(m); err == nil {
+		if _, _, err := decode(m); err == nil {
 			t.Errorf("%s: corrupt message accepted", name)
 		}
 	}
 	// Flip the mode nibble to an invalid value.
 	bad := append([]byte(nil), msg...)
 	bad[1] = (bad[1] & 0xF0) | 0x0F
-	if _, _, err := Decode(bad); err == nil {
+	if _, _, err := decode(bad); err == nil {
 		t.Error("invalid mode accepted")
 	}
 	// Corrupt the compressed body.
 	bad2 := append([]byte(nil), msg...)
 	bad2[len(bad2)-1] ^= 0xFF
-	if _, _, err := Decode(bad2); err == nil {
+	if _, _, err := decode(bad2); err == nil {
 		t.Error("corrupt body accepted")
 	}
 }
@@ -211,11 +218,11 @@ func TestDecodeCorrupt(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	b := &Batch{TileID: 3, Lo: 10, Hi: 40}
 	for _, choice := range []ModeChoice{ForceDense, ForceSparse, Auto} {
-		msg, _, err := Encode(b, Options{Choice: choice})
+		msg, _, err := AppendEncode(nil, b, Options{Choice: choice})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Decode(msg)
+		got, _, err := decode(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +247,11 @@ func TestPropertyRoundTrip(t *testing.T) {
 		b := makeBatch(lo, hi, ids, rng)
 		choice := []ModeChoice{Auto, ForceDense, ForceSparse}[int(choiceRaw)%3]
 		codec := compress.Modes[int(codecRaw)%len(compress.Modes)]
-		msg, _, err := Encode(b, Options{Choice: choice, Codec: codec})
+		msg, _, err := AppendEncode(nil, b, Options{Choice: choice, Codec: codec})
 		if err != nil {
 			return false
 		}
-		got, _, err := Decode(msg)
+		got, _, err := decode(msg)
 		if err != nil {
 			return false
 		}

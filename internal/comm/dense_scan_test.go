@@ -29,7 +29,7 @@ func decodeDenseBitByBitReference(b *Batch, body []byte, n, bvLen int) {
 // denseBody encodes a batch and returns the raw (uncompressed) dense body.
 func denseBody(tb testing.TB, batch *Batch) (body []byte, n, bvLen int) {
 	tb.Helper()
-	msg, _, err := Encode(batch, Options{Choice: ForceDense, Codec: compress.None})
+	msg, _, err := AppendEncode(nil, batch, Options{Choice: ForceDense, Codec: compress.None})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDenseScanMatchesReference(t *testing.T) {
 			for i := 0; i < size; i += stride {
 				batch.Updates = append(batch.Updates, Update{ID: 10 + uint32(i), Value: float64(i) + 0.5})
 			}
-			msg, _, err := Encode(batch, Options{Choice: ForceDense, Codec: compress.None})
+			msg, _, err := AppendEncode(nil, batch, Options{Choice: ForceDense, Codec: compress.None})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestDenseScanMatchesReference(t *testing.T) {
 // indexing the value array out of bounds or inventing phantom updates.
 func TestDenseScanMasksStrayTailBits(t *testing.T) {
 	batch := buildBatch(100, 10)
-	msg, _, err := Encode(batch, Options{Choice: ForceDense, Codec: compress.None})
+	msg, _, err := AppendEncode(nil, batch, Options{Choice: ForceDense, Codec: compress.None})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,16 @@ func TestDenseScanMasksStrayTailBits(t *testing.T) {
 }
 
 // FuzzDecodeInto throws arbitrary bytes at the decoder — it must either
-// reject them or produce a batch that round-trips through Encode to an
-// equivalent decode (the invariants validateBatch enforces must hold).
+// reject them or produce a batch that re-encodes and decodes back to the
+// identical header, ids and value bits. The round trip uses the wire mode
+// and codec the frame decoded in, so it costs no more than the decode did; a
+// dense re-encode costs O(claimed range), so the dense cross-check runs only
+// for ranges up to 1<<20 (a sparse frame can claim ~4 G vertices in a few
+// dozen bytes).
 func FuzzDecodeInto(f *testing.F) {
 	for _, choice := range []ModeChoice{ForceDense, ForceSparse} {
 		for _, codec := range []compress.Mode{compress.None, compress.Snappy} {
-			msg, _, err := Encode(buildBatch(200, 17), Options{Choice: choice, Codec: codec})
+			msg, _, err := AppendEncode(nil, buildBatch(200, 17), Options{Choice: choice, Codec: codec})
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -114,21 +118,41 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add([]byte{magicByte})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
-		if _, err := DecodeInto(&b, data); err != nil {
+		enc, err := DecodeInto(&b, data)
+		if err != nil {
 			return
 		}
-		reenc, _, err := Encode(&b, Options{Choice: ForceDense, Codec: compress.None})
-		if err != nil {
-			t.Fatalf("decoded batch does not re-encode: %v", err)
+		choice := ForceSparse
+		if enc.Mode == DenseMode {
+			choice = ForceDense
 		}
-		var b2 Batch
-		if _, err := DecodeInto(&b2, reenc); err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
-		}
-		if b2.Lo != b.Lo || b2.Hi != b.Hi || len(b2.Updates) != len(b.Updates) {
-			t.Fatalf("round trip changed batch: %+v vs %+v", b2, b)
+		roundTrip(t, &b, Options{Choice: choice, Codec: enc.Codec})
+		if b.Hi-b.Lo <= 1<<20 {
+			roundTrip(t, &b, Options{Choice: ForceDense, Codec: compress.None})
 		}
 	})
+}
+
+// roundTrip encodes b with opts, decodes the message, and fails unless the
+// result carries b's exact header, ids and value bits.
+func roundTrip(t *testing.T, b *Batch, opts Options) {
+	t.Helper()
+	msg, _, err := AppendEncode(nil, b, opts)
+	if err != nil {
+		t.Fatalf("decoded batch does not re-encode with %+v: %v", opts, err)
+	}
+	var got Batch
+	if _, err := DecodeInto(&got, msg); err != nil {
+		t.Fatalf("batch re-encoded with %+v does not decode: %v", opts, err)
+	}
+	if got.TileID != b.TileID || got.Lo != b.Lo || got.Hi != b.Hi || len(got.Updates) != len(b.Updates) {
+		t.Fatalf("round trip with %+v changed the batch: %+v vs %+v", opts, got, b)
+	}
+	for i, u := range b.Updates {
+		if g := got.Updates[i]; g.ID != u.ID || math.Float64bits(g.Value) != math.Float64bits(u.Value) {
+			t.Fatalf("round trip with %+v changed update %d: %+v vs %+v", opts, i, g, u)
+		}
+	}
 }
 
 // BenchmarkDecodeIntoDenseRaw measures the new word-at-a-time scan with no
@@ -136,7 +160,7 @@ func FuzzDecodeInto(f *testing.F) {
 // over the identical body.
 func BenchmarkDecodeIntoDenseRaw(b *testing.B) {
 	batch := buildBatch(1<<16, 1<<14)
-	msg, _, err := Encode(batch, Options{Choice: ForceDense, Codec: compress.None})
+	msg, _, err := AppendEncode(nil, batch, Options{Choice: ForceDense, Codec: compress.None})
 	if err != nil {
 		b.Fatal(err)
 	}

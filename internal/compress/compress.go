@@ -102,17 +102,12 @@ func (m Mode) ExpectedRatio() float64 {
 	}
 }
 
-// Compress encodes src with the codec. The result of every mode is
-// self-contained: Decompress recovers src exactly without knowing the
-// original length.
-func (m Mode) Compress(src []byte) ([]byte, error) {
-	return m.AppendCompress(nil, src)
-}
-
 // AppendCompress appends the compressed form of src to dst and returns the
-// extended slice. When dst has enough spare capacity no allocation occurs —
-// the per-superstep wire path reuses one buffer per worker this way. dst and
-// src must not overlap.
+// extended slice. The result of every mode is self-contained:
+// AppendDecompress recovers src exactly without knowing the original length.
+// When dst has enough spare capacity no allocation occurs — the
+// per-superstep wire path reuses one buffer per worker this way. dst and src
+// must not overlap.
 func (m Mode) AppendCompress(dst, src []byte) ([]byte, error) {
 	switch m {
 	case None:
@@ -148,14 +143,10 @@ func (m Mode) AppendCompress(dst, src []byte) ([]byte, error) {
 	}
 }
 
-// Decompress decodes data produced by Compress with the same mode.
-func (m Mode) Decompress(data []byte) ([]byte, error) {
-	return m.AppendDecompress(nil, data)
-}
-
-// AppendDecompress appends the decompressed form of data to dst and returns
-// the extended slice, reusing dst's spare capacity when it suffices. dst and
-// data must not overlap.
+// AppendDecompress appends the decompressed form of data, produced by
+// AppendCompress with the same mode, to dst and returns the extended slice,
+// reusing dst's spare capacity when it suffices. dst and data must not
+// overlap.
 func (m Mode) AppendDecompress(dst, data []byte) ([]byte, error) {
 	switch m {
 	case None:

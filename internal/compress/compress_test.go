@@ -17,11 +17,11 @@ func TestRoundTripAllModes(t *testing.T) {
 	}
 	for _, m := range Modes {
 		for name, src := range payloads {
-			enc, err := m.Compress(src)
+			enc, err := m.AppendCompress(nil, src)
 			if err != nil {
 				t.Fatalf("%s/%s compress: %v", m, name, err)
 			}
-			dec, err := m.Decompress(enc)
+			dec, err := m.AppendDecompress(nil, enc)
 			if err != nil {
 				t.Fatalf("%s/%s decompress: %v", m, name, err)
 			}
@@ -47,7 +47,7 @@ func TestCompressionOrdering(t *testing.T) {
 	src := bytes.Repeat([]byte("0123456789abcdef edge "), 5000)
 	var sizes [4]int
 	for i, m := range Modes {
-		enc, err := m.Compress(src)
+		enc, err := m.AppendCompress(nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestSelectCacheMode(t *testing.T) {
 
 func TestDecompressCorrupt(t *testing.T) {
 	for _, m := range []Mode{Snappy, Zlib1, Zlib3} {
-		if _, err := m.Decompress([]byte("definitely not compressed")); err == nil {
+		if _, err := m.AppendDecompress(nil, []byte("definitely not compressed")); err == nil {
 			t.Errorf("%s accepted garbage", m)
 		}
 	}
@@ -120,17 +120,17 @@ func TestInvalidMode(t *testing.T) {
 	if bad.Valid() {
 		t.Fatal("mode 99 claims validity")
 	}
-	if _, err := bad.Compress([]byte("x")); err == nil {
+	if _, err := bad.AppendCompress(nil, []byte("x")); err == nil {
 		t.Fatal("invalid mode compressed")
 	}
-	if _, err := bad.Decompress([]byte("x")); err == nil {
+	if _, err := bad.AppendDecompress(nil, []byte("x")); err == nil {
 		t.Fatal("invalid mode decompressed")
 	}
 }
 
 func TestCompressCopiesInput(t *testing.T) {
 	src := []byte("mutable")
-	enc, err := None.Compress(src)
+	enc, err := None.AppendCompress(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestCompressCopiesInput(t *testing.T) {
 func TestPropertyRoundTrip(t *testing.T) {
 	prop := func(data []byte, modeIdx uint8) bool {
 		m := Modes[int(modeIdx)%len(Modes)]
-		enc, err := m.Compress(data)
+		enc, err := m.AppendCompress(nil, data)
 		if err != nil {
 			return false
 		}
-		dec, err := m.Decompress(enc)
+		dec, err := m.AppendDecompress(nil, enc)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

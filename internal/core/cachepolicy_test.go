@@ -2,8 +2,8 @@ package core
 
 // End-to-end pins for the edge-cache eviction policies: results must be
 // bit-identical regardless of policy (the cache serves the same tile bytes
-// either way), the superstep-aware CLOCK policy must beat LRU's cyclic
-// collapse at constrained capacity, and the auto selector must pick CLOCK
+// either way), both policies must hold the cached fraction of a cyclic sweep
+// at constrained capacity, and the auto selector must pick CLOCK
 // exactly when the capacity cannot hold the tile working set. End-to-end
 // *time* per policy is tracked in PERF.md (the Figure 7(b) sweep), not
 // asserted here — wall-clock comparisons are too noisy for CI.
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/compress"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/tile"
 )
@@ -33,11 +34,12 @@ func policyRunConfig(p *tile.Partition, policy cache.Policy) Config {
 }
 
 // TestCachePolicyDeterminismAndHitRatio runs the same PageRank-like
-// workload under all three eviction policies at 50% cache capacity and
-// pins: (1) bit-identical result values — the policy may only change where
-// tile bytes are read from, never what they contain; (2) CLOCK strictly
-// beats LRU's hit ratio (cyclic sweeps are LRU's worst case); (3) CLOCK
-// matches the paper's AdmitNoEvict resident-set behaviour.
+// workload under both eviction policies at 50% cache capacity and pins:
+// (1) bit-identical result values — the policy may only change where tile
+// bytes are read from, never what they contain; (2) after the warm-up sweep
+// each policy's hit ratio is the cached fraction costmodel.CyclicHitRatio
+// predicts, to within one tile; (3) CLOCK matches the paper's AdmitNoEvict
+// resident-set behaviour.
 func TestCachePolicyDeterminismAndHitRatio(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 2000, 20_000, 41)
 	p, err := tile.Split(el, tile.Options{TileSize: el.NumEdges()/8 + 1})
@@ -57,24 +59,28 @@ func TestCachePolicyDeterminismAndHitRatio(t *testing.T) {
 		results[policy] = res
 	}
 
-	ref := results[cache.AdmitNoEvict]
-	for _, policy := range []cache.Policy{cache.LRU, cache.Clock} {
-		got := results[policy]
-		if len(got.Values) != len(ref.Values) {
-			t.Fatalf("%s: %d values, want %d", policy, len(got.Values), len(ref.Values))
-		}
-		for v := range ref.Values {
-			if got.Values[v] != ref.Values[v] {
-				t.Fatalf("%s: value of vertex %d differs from admit-no-evict: %g != %g",
-					policy, v, got.Values[v], ref.Values[v])
-			}
+	ref, got := results[cache.AdmitNoEvict], results[cache.Clock]
+	if len(got.Values) != len(ref.Values) {
+		t.Fatalf("clock: %d values, want %d", len(got.Values), len(ref.Values))
+	}
+	for v := range ref.Values {
+		if got.Values[v] != ref.Values[v] {
+			t.Fatalf("clock: value of vertex %d differs from admit-no-evict: %g != %g",
+				v, got.Values[v], ref.Values[v])
 		}
 	}
 
 	hit := func(p cache.Policy) float64 { return results[p].Servers[0].Cache.HitRatio() }
-	if hit(cache.Clock) <= hit(cache.LRU) {
-		t.Fatalf("clock hit ratio %.3f not strictly above LRU %.3f at 50%% capacity",
-			hit(cache.Clock), hit(cache.LRU))
+	model := costmodel.CyclicHitRatio(p.TotalTileBytes(), p.TotalTileBytes()/2)
+	for _, policy := range cache.Policies {
+		// The first sweep misses every tile; every later one hits the
+		// resident set.
+		cs := results[policy].Servers[0].Cache
+		steady := float64(cs.Hits) / float64(cs.Hits+cs.Misses-int64(p.NumTiles()))
+		if d := steady - model; d > 1/float64(p.NumTiles()) || -d > 1/float64(p.NumTiles()) {
+			t.Fatalf("%s: steady hit ratio %.3f, want the cyclic model's %.3f within one of %d tiles",
+				policy, steady, model, p.NumTiles())
+		}
 	}
 	// CLOCK degenerates to AdmitNoEvict's stable resident set when the
 	// working set does not shift; allow a small slack for admission-order

@@ -16,9 +16,8 @@ import (
 // pipelined communication subsystem: because foreign batches are staged
 // during compute and applied only after the barrier-side join, and tile
 // target ranges are disjoint, the final vertex values must not depend on
-// the transport, the server count, or whether broadcasts are pipelined or
-// lockstep. Every configuration must match the single-server lockstep run
-// down to the last float64 bit.
+// the transport or the server count. Every configuration must match the
+// single-server run down to the last float64 bit.
 func TestPipelinedDeterminism(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 600, 6000, 42)
 	p, err := tile.Split(el, tile.Options{TileSize: el.NumEdges()/16 + 1})
@@ -27,13 +26,12 @@ func TestPipelinedDeterminism(t *testing.T) {
 	}
 	const steps = 8
 
-	run := func(t *testing.T, servers int, tr cluster.TransportKind, lockstep bool) []float64 {
+	run := func(t *testing.T, servers int, tr cluster.TransportKind) []float64 {
 		t.Helper()
 		cfg := DefaultConfig(servers)
 		cfg.WorkDir = t.TempDir()
 		cfg.MaxSupersteps = steps
 		cfg.Transport = tr
-		cfg.Lockstep = lockstep
 		res, err := New(cfg).Run(Input{Partition: p}, apps.PageRank{})
 		if err != nil {
 			t.Fatal(err)
@@ -41,29 +39,27 @@ func TestPipelinedDeterminism(t *testing.T) {
 		return res.Values
 	}
 
-	want := run(t, 1, cluster.Inproc, true)
+	want := run(t, 1, cluster.Inproc)
 	for _, servers := range []int{1, 2, 4, 8} {
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			for _, lockstep := range []bool{false, true} {
-				name := fmt.Sprintf("servers=%d/%s/lockstep=%v", servers, tr, lockstep)
-				t.Run(name, func(t *testing.T) {
-					got := run(t, servers, tr, lockstep)
-					for v := range want {
-						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-							t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
-								v, math.Float64bits(got[v]), math.Float64bits(want[v]))
-						}
+			name := fmt.Sprintf("servers=%d/%s", servers, tr)
+			t.Run(name, func(t *testing.T) {
+				got := run(t, servers, tr)
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
+							v, math.Float64bits(got[v]), math.Float64bits(want[v]))
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // TestPipelinedStallMetrics checks that the queue-depth counters are wired
-// through to ServerStats: with a tiny send queue and many tiles, pipelined
-// runs must observe a nonzero high-water mark, and lockstep runs must not
-// touch the async counters at all.
+// through to ServerStats: with a tiny send queue and many tiles, a
+// multi-server run must observe a nonzero high-water mark, and a
+// single-server run, which has no Sender, must report no queue at all.
 func TestPipelinedStallMetrics(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 512, 5000, 7)
 	p, err := tile.Split(el, tile.Options{TileSize: el.NumEdges()/24 + 1})
@@ -73,7 +69,7 @@ func TestPipelinedStallMetrics(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.WorkDir = t.TempDir()
 	cfg.MaxSupersteps = 5
-	cfg.SendQueueCap = 1
+	defer SetInitialQueueCap(1)()
 	res, err := New(cfg).Run(Input{Partition: p}, apps.PageRank{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,18 +81,17 @@ func TestPipelinedStallMetrics(t *testing.T) {
 		}
 	}
 	if hw == 0 {
-		t.Fatal("pipelined run with SendQueueCap=1 never reported queue depth")
+		t.Fatal("pipelined run with a one-slot send queue never reported queue depth")
 	}
 
-	cfg.Lockstep = true
+	cfg = DefaultConfig(1)
 	cfg.WorkDir = t.TempDir()
+	cfg.MaxSupersteps = 5
 	res, err = New(cfg).Run(Input{Partition: p}, apps.PageRank{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sv := range res.Servers {
-		if sv.SendStalls != 0 || sv.SendQueueHighWater != 0 {
-			t.Fatalf("lockstep run reported async counters: %+v", sv)
-		}
+	if sv := res.Servers[0]; sv.SendQueueCap != 0 || sv.SendStalls != 0 || sv.SendQueueHighWater != 0 {
+		t.Fatalf("single-server run reported send-queue counters: %+v", sv)
 	}
 }

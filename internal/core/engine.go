@@ -92,19 +92,6 @@ type Config struct {
 	// tiles' Bloom filters are consulted; above it only the source-range
 	// test can skip a tile. Default 1024.
 	BloomCheckLimit int
-	// Lockstep disables the pipelined communication subsystem: workers
-	// broadcast synchronously under one per-server mutex and foreign
-	// batches are received in one blocking sweep after compute — the
-	// pre-pipeline behaviour, kept as the ablation baseline (see PERF.md).
-	// Sessions treat it as the per-job default; JobOptions.Lockstep can
-	// additionally force one Submit onto the baseline.
-	Lockstep bool
-	// SendQueueCap bounds each destination's asynchronous send queue in the
-	// pipelined subsystem; full queues backpressure workers. 0 (default)
-	// sizes the queues adaptively: start at 32, double on observed send
-	// stalls, shrink after a sustained quiet spell (costmodel.AdaptQueueCap).
-	// A positive value is a static override.
-	SendQueueCap int
 	// Rebalance enables the superstep-boundary tile rebalancer (see
 	// rebalance.go and docs/ARCHITECTURE.md): per-tile compute timings feed
 	// a straggler detector on rank 0, and victim tiles migrate off a slow
@@ -376,7 +363,7 @@ func prepareInput(in Input) (*Graph, int, func(i int) ([]byte, error), error) {
 		encoded := make([][]byte, p.NumTiles())
 		onces := make([]sync.Once, p.NumTiles())
 		fetch := func(i int) ([]byte, error) {
-			onces[i].Do(func() { encoded[i] = p.Tiles[i].Encode() })
+			onces[i].Do(func() { encoded[i] = p.Tiles[i].AppendEncode(nil) })
 			return encoded[i], nil
 		}
 		return g, p.NumTiles(), fetch, nil
@@ -502,7 +489,6 @@ type server struct {
 	prog     Program
 	ctx      context.Context
 	maxSteps int
-	lockstep bool
 	msgCodec compress.Mode
 	progress func(StepStats)
 	result   *Result
@@ -519,14 +505,12 @@ type server struct {
 	recvBatch comm.Batch
 	staged    [][]comm.Update
 
-	// sender is the pipelined broadcast subsystem (nil single-node or in
-	// Lockstep mode); bmu serializes lockstep broadcasts, matching the
-	// one-NIC-per-server model the async queues preserve per destination.
+	// sender is the pipelined broadcast subsystem, nil on a single-server
+	// cluster: it is the only way update batches leave a server.
 	sender *cluster.Sender
-	bmu    sync.Mutex
 
 	// Adaptive send-queue sizing state: the current per-destination
-	// capacity, whether the engine may resize it (SendQueueCap == 0), the
+	// capacity, whether the engine may resize it (serial runners only), the
 	// stall counter at the last adjustment, and how many consecutive
 	// adjustments saw zero stalls.
 	queueCap      int
@@ -668,7 +652,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 	s.prog = jb.prog
 	s.ctx = jb.ctx
 	s.maxSteps = jb.maxSteps
-	s.lockstep = jb.lockstep
 	s.msgCodec = jb.codec
 	s.progress = jb.progress
 	s.result = jb.res
@@ -692,16 +675,13 @@ func (s *server) runJob(jb *job) (fatal error) {
 	}
 	s.jobsRun++
 
-	if !s.lockstep && s.node.NumNodes() > 1 {
-		// The pipelined subsystem is rebuilt per job (a job may opt into
-		// Lockstep), but the adaptive queue capacity carries over so a warm
-		// session keeps its learned sizing.
+	if s.node.NumNodes() > 1 {
+		// The pipelined subsystem is rebuilt per job, but the adaptive
+		// queue capacity carries over so a warm session keeps its learned
+		// sizing.
 		if s.queueCap <= 0 {
-			s.queueCap = s.cfg.SendQueueCap
-			if s.queueCap <= 0 {
-				s.queueCap = 32
-				s.adaptiveQueue = true
-			}
+			s.queueCap = initialQueueCap
+			s.adaptiveQueue = true
 		}
 		s.sender = s.node.NewSender(s.queueCap)
 		defer func() {
@@ -1116,8 +1096,8 @@ func (s *server) superstepLoop() ([]StepStats, error) {
 }
 
 // stepCrew is the goroutine crew of one job's superstep loop on one server:
-// T tile workers fed tile indices over work and, in pipelined mode, one
-// receiver fed step numbers over recvReq. It lives for the whole job so a
+// T tile workers fed tile indices over work and, on a multi-server cluster,
+// one receiver fed step numbers over recvReq. It lives for the whole job so a
 // superstep starts no goroutine and allocates nothing; runStep publishes the
 // step number before feeding, and the channel sends order that write before
 // the crew's reads.
@@ -1130,7 +1110,7 @@ type stepCrew struct {
 	tiles   sync.WaitGroup // tiles of the current step still being processed
 	workers sync.WaitGroup // worker goroutines, joined by stop
 
-	recvReq chan int   // nil when the job has no pipelined receive
+	recvReq chan int   // nil on a single server, which receives nothing
 	recvRes chan error // capacity 1: at most one receive is outstanding
 	// pending is set while a requested receive's result has not been read.
 	// runStep can return with it set (a tile or flush error, a scripted
@@ -1207,7 +1187,7 @@ func (c *stepCrew) stop() {
 }
 
 // runStep executes one superstep: compute over the assigned tiles with the
-// pipelined (or lockstep) broadcast of updates, the counted receive of
+// pipelined broadcast of updates, the counted receive of
 // every live peer's batches, the step-end consensus barrier, and the
 // checkpoint and rebalance phases inside the barrier bracket. It returns
 // the step's stats and the global updated count, and leaves the vertices it
@@ -1299,32 +1279,19 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 		absorb(o.updates)
 	}
 
-	// The Broadcast leg of GAB, receiver side. Pipelined: the concurrent
-	// receive loop already decoded everything it could during compute;
-	// drain the send queues (flush-at-barrier), join it, and apply the
-	// staged updates in sender-rank order. Lockstep: receive and stage
-	// everything here, after compute, through the same counted protocol.
-	switch {
-	case receiving:
+	// The Broadcast leg of GAB, receiver side: the concurrent receive loop
+	// already decoded everything it could during compute; drain the send
+	// queues (flush-at-barrier) even when there is nothing to receive, join
+	// it, and apply the staged updates in sender-rank order.
+	if s.sender != nil {
 		if err := s.sender.Flush(); err != nil {
 			return st, 0, err
 		}
+	}
+	if receiving {
 		err := <-crew.recvRes
 		crew.pending = false
 		if err != nil {
-			return st, 0, err
-		}
-		for from := range s.staged {
-			absorb(s.staged[from])
-			s.staged[from] = s.staged[from][:0]
-		}
-	case n.NumNodes() > 1:
-		if s.sender != nil {
-			if err := s.sender.Flush(); err != nil {
-				return st, 0, err
-			}
-		}
-		if err := s.receiveStep(nil, step); err != nil {
 			return st, 0, err
 		}
 		for from := range s.staged {
@@ -1435,6 +1402,12 @@ func (s *server) stepExpected() int {
 	return exp
 }
 
+// initialQueueCap is each destination's send-queue capacity when a
+// server first builds its Sender. Serial servers adapt it from there
+// (adaptSendQueue); multi-tenant runners keep it. A variable only so tests
+// can start from a tiny queue.
+var initialQueueCap = 32
+
 // adaptSendQueue resizes the pipelined sender's per-destination queues from
 // the backpressure observed since the last adjustment. It runs between the
 // step's flush and the next step's first enqueue, when the queues are
@@ -1518,7 +1491,7 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 		}
 		scr.disk = data[:0] // keep (possibly grown) buffer for the next load
 		if dst == nil {
-			return csr.Decode(data)
+			dst = new(csr.Tile)
 		}
 		if err := csr.DecodeInto(dst, data); err != nil {
 			return nil, err
@@ -1547,9 +1520,8 @@ type tileOut struct {
 
 // receiveStep is the counted receive of one superstep: it consumes frames
 // until one distinct batch per live-peer-owned tile has arrived, decoding
-// each the moment it lands and staging its updates per sender rank. In
-// pipelined mode it runs on its own goroutine concurrently with tile
-// compute; in lockstep mode it runs inline after compute. Only one receive
+// each the moment it lands and staging its updates per sender rank. It runs
+// on its own goroutine concurrently with tile compute. Only one receive
 // runs at a time, so recvBatch and staged are single-writer.
 //
 // The count is per distinct tile, not per frame: a seen-tile bitset drops
@@ -1594,13 +1566,10 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 			}
 			return false, fmt.Errorf("core: server %d received non-batch frame (%d bytes) mid-step", me, len(msg))
 		}
-		if _, err := comm.DecodeInto(&s.recvBatch, msg[2:]); err != nil {
-			return false, fmt.Errorf("core: server %d decoding update batch: %w", me, err)
+		if err := s.decodeBatch(from, msg[2:]); err != nil {
+			return false, err
 		}
 		t := int(s.recvBatch.TileID)
-		if t >= s.total {
-			return false, fmt.Errorf("core: server %d received update batch for unknown tile %d", me, t)
-		}
 		if s.seenTiles[t>>6]&(1<<uint(t&63)) != 0 {
 			return false, nil // duplicated frame
 		}
@@ -1632,6 +1601,25 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 		return cluster.ErrMembershipChanged
 	}
 	return err
+}
+
+// decodeBatch decodes one received update batch into recvBatch and checks it
+// against this session's graph — the batch handler both the step receive and
+// the On-Demand result receive share. A frame is untrusted input: DecodeInto
+// only checks it against itself, and a tile or vertex range past the graph
+// would index the tile tables, the replicas or the result vector out of
+// bounds.
+func (s *server) decodeBatch(from int, msg []byte) error {
+	me := s.node.ID()
+	b := &s.recvBatch
+	if _, err := comm.DecodeInto(b, msg); err != nil {
+		return fmt.Errorf("core: server %d decoding update batch from server %d: %w", me, from, err)
+	}
+	if int(b.TileID) >= s.total || b.Hi > s.graph.NumVertices {
+		return fmt.Errorf("core: server %d received a batch from server %d for tile %d over [%d,%d), outside the graph's %d tiles and %d vertices",
+			me, from, b.TileID, b.Lo, b.Hi, s.total, s.graph.NumVertices)
+	}
+	return nil
 }
 
 // processTile runs gather+apply over one tile and broadcasts the resulting
@@ -1685,23 +1673,9 @@ func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScrat
 		}
 		return out
 	}
-	msg, enc, err := comm.AppendEncode(s.stepHeader(scr.wire[:0], step), &scr.batch, encOpts)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	scr.wire = msg
-	out.enc = enc
-	// Lockstep broadcast serializes per server: the paper's workers also
-	// funnel through one NIC; both transports finish with the buffer before
-	// Send returns, so the wire buffer is free for the worker's next tile.
-	// This also keeps cluster.Node usage single-writer.
-	s.bmu.Lock()
-	err = s.node.Broadcast(msg)
-	s.bmu.Unlock()
-	if err != nil {
-		out.err = err
-	}
+	// A single server has no peers: the batch is encoded only for the step's
+	// message counters, and sent nowhere.
+	scr.wire, out.enc, out.err = comm.AppendEncode(scr.wire[:0], &scr.batch, encOpts)
 	return out
 }
 
@@ -1779,8 +1753,8 @@ func (s *server) collectResult() error {
 		}
 	}
 	// On-Demand: exchange target-range values. The sends ride the pipelined
-	// Sender when one is running, so encoding the next range overlaps the
-	// previous range's wire time instead of paying blocking sends at the
+	// Sender (every rank but 0 has one), so encoding the next range overlaps
+	// the previous range's wire time instead of paying blocking sends at the
 	// run tail; rank 0 streams the batches straight into the result vector
 	// (target ranges are disjoint, so arrival order is irrelevant).
 	collectOpts := comm.Options{Choice: comm.ForceDense, Codec: compress.Snappy}
@@ -1791,39 +1765,23 @@ func (s *server) collectResult() error {
 				ups = append(ups, comm.Update{ID: v, Value: s.state.Get(v)})
 			}
 			batch := comm.Batch{TileID: uint32(meta.id), Lo: meta.lo, Hi: meta.hi, Updates: ups}
-			if s.sender != nil {
-				wb := s.sender.Acquire()
-				head := wb.Data[:0]
-				if s.multi {
-					head = comm.AppendJobHeader(head, s.jobID)
-				}
-				msg, _, err := comm.AppendEncode(head, &batch, collectOpts)
-				if err != nil {
-					s.sender.Release(wb)
-					return err
-				}
-				wb.Data = msg
-				if err := s.sender.Send(0, wb); err != nil {
-					return err
-				}
-				continue
-			}
-			var head []byte
+			wb := s.sender.Acquire()
+			head := wb.Data[:0]
 			if s.multi {
-				head = comm.AppendJobHeader(nil, s.jobID)
+				head = comm.AppendJobHeader(head, s.jobID)
 			}
 			msg, _, err := comm.AppendEncode(head, &batch, collectOpts)
 			if err != nil {
+				s.sender.Release(wb)
 				return err
 			}
-			if err := n.Send(0, msg); err != nil {
+			wb.Data = msg
+			if err := s.sender.Send(0, wb); err != nil {
 				return err
 			}
 		}
-		if s.sender != nil {
-			if err := s.sender.Flush(); err != nil {
-				return err
-			}
+		if err := s.sender.Flush(); err != nil {
+			return err
 		}
 	} else {
 		for _, meta := range s.metas {
@@ -1832,8 +1790,8 @@ func (s *server) collectResult() error {
 			}
 		}
 		err := s.recvCount(s.total-len(s.metas), func(from int, m []byte) error {
-			if _, err := comm.DecodeInto(&s.recvBatch, m); err != nil {
-				return fmt.Errorf("core: server 0 decoding result batch: %w", err)
+			if err := s.decodeBatch(from, m); err != nil {
+				return err
 			}
 			for _, u := range s.recvBatch.Updates {
 				s.result.Values[u.ID] = u.Value
@@ -1956,11 +1914,7 @@ func (s *server) fillServerStats() {
 	}
 	st.TilesMigratedIn = s.tilesIn
 	st.TilesMigratedOut = s.tilesOut
-	if !s.lockstep {
-		// A lockstep job has no send queues, even when a previous pipelined
-		// job on the same session left a learned capacity behind.
-		st.SendQueueCap = s.queueCap
-	}
+	st.SendQueueCap = s.queueCap
 	m := s.node.Metrics()
 	st.BytesSent = m.BytesSent
 	st.BytesRecv = m.BytesRecv
@@ -1981,8 +1935,8 @@ func (s *server) fillServerStats() {
 // graph, node, metas data, the nodeShared plumbing — and privatizes
 // everything a concurrent BSP loop writes: vertex state (allocated fresh by
 // initJobState), scratch, per-tile buffers, ownership tables and receive
-// tallies. Built field-by-field: server holds a mutex, so a struct copy
-// would be a copylocks violation.
+// tallies. Built field-by-field, so every field not listed starts at its
+// per-job zero value.
 func (s *server) jobRunner(jb *job) *server {
 	r := &server{
 		cfg:        s.cfg,
@@ -2022,10 +1976,7 @@ func (s *server) jobRunner(jb *job) *server {
 	r.seenTiles = make([]uint64, (r.total+63)/64)
 	// Static send-queue sizing only: the adaptive controller reads node-wide
 	// stall metrics, which concurrent runners would pollute for each other.
-	r.queueCap = r.cfg.SendQueueCap
-	if r.queueCap <= 0 {
-		r.queueCap = 32
-	}
+	r.queueCap = initialQueueCap
 	r.rtr = s.shared.router.Load()
 	r.mailbox = r.rtr.register(jb.id)
 	return r

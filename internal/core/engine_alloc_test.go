@@ -119,7 +119,7 @@ func newServerOn(t testing.TB, p *tile.Partition, prog Program, mutate func(*Con
 		// pooled buffer immediately — this pins the Acquire/encode/enqueue
 		// path itself to zero allocations without the transport's
 		// per-message payload copy muddying the count.
-		sv.sender = cl.Node(0).NewSender(cfg.SendQueueCap)
+		sv.sender = cl.Node(0).NewSender(initialQueueCap)
 	}
 	encOpts := comm.Options{Choice: cfg.Comm, Codec: cfg.MsgCodec}
 	return sv, encOpts, func() { cl.Close() }

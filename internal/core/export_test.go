@@ -19,3 +19,12 @@ func edgeValue(w []float32, i int) float64 {
 
 // EdgeValue exports edgeValue to the external test package.
 var EdgeValue = edgeValue
+
+// SetInitialQueueCap sets the send-queue capacity servers start their
+// Senders at, returning a func that restores the previous value. Tests use
+// it to force backpressure on small graphs.
+func SetInitialQueueCap(n int) (restore func()) {
+	prev := initialQueueCap
+	initialQueueCap = n
+	return func() { initialQueueCap = prev }
+}

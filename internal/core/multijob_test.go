@@ -4,7 +4,7 @@ package core_test
 // concurrent Submits (Config.MaxConcurrentJobs > 1). The contract under
 // test is brutal on purpose: interleaving jobs inside one cluster must be
 // invisible in the results — every concurrent job bit-identical to its
-// serial run, across transports, lockstep, cache policies and residency
+// serial run, across transports, cache policies and residency
 // tiers — while admission control, cancellation, crash recovery and the
 // shared-sweep tile window all keep working with more than one job in
 // flight.
@@ -22,7 +22,9 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cache"
 	"repro/internal/cluster"
+	"repro/internal/compress"
 	. "repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/tile"
 )
 
@@ -63,7 +65,7 @@ func submitConcurrently(t *testing.T, se *Session, progs []Program, opts []JobOp
 // TestMultiJobMatchesSerial is the bit-identity matrix: PageRank, SSSP and
 // WCC submitted concurrently (three jobs interleaving inside one cluster)
 // must produce exactly the values of three standalone serial Runs, on both
-// transports and under both communication modes.
+// transports.
 func TestMultiJobMatchesSerial(t *testing.T) {
 	_, p := sessionGraph(t)
 	progs := []Program{apps.PageRank{}, apps.SSSP{Source: 1}, apps.WCC{}}
@@ -74,76 +76,12 @@ func TestMultiJobMatchesSerial(t *testing.T) {
 		base[i] = serialValues(t, p, cfg, prog)
 	}
 	for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-		for _, lock := range []bool{false, true} {
-			name := tr.String() + "/pipelined"
-			if lock {
-				name = tr.String() + "/lockstep"
-			}
-			t.Run(name, func(t *testing.T) {
-				mcfg := cfg
-				mcfg.Transport = tr
-				mcfg.WorkDir = t.TempDir()
-				mcfg.MaxConcurrentJobs = 3
-				se, err := Open(Input{Partition: p}, mcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer se.Close()
-				opts := make([]JobOptions, len(progs))
-				for i := range opts {
-					opts[i] = JobOptions{Lockstep: lock}
-				}
-				results, errs := submitConcurrently(t, se, progs, opts)
-				for i, err := range errs {
-					if err != nil {
-						t.Fatalf("%s: %v", progs[i].Name(), err)
-					}
-				}
-				for i, res := range results {
-					wantExact(t, res.Values, base[i], progs[i].Name())
-				}
-			})
-		}
-	}
-}
-
-// TestMultiJobCachePolicyMatrix re-runs the bit-identity check under every
-// cache regime the engine offers: small Clock and LRU caches (concurrent
-// jobs fight over admission), a disabled cache, and the forced streaming
-// tier (every tile re-read every superstep, the configuration where the
-// share window actually carries traffic).
-func TestMultiJobCachePolicyMatrix(t *testing.T) {
-	_, p := sessionGraph(t)
-	progs := []Program{apps.PageRank{}, apps.WCC{}}
-	variants := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"clock-small", func(c *Config) {
-			c.CachePolicyAuto = false
-			c.CachePolicy = cache.Clock
-			c.CacheCapacity = 64 << 10
-		}},
-		{"lru-small", func(c *Config) {
-			c.CachePolicyAuto = false
-			c.CachePolicy = cache.LRU
-			c.CacheCapacity = 64 << 10
-		}},
-		{"cache-off", func(c *Config) { c.CacheCapacity = -1 }},
-		{"streaming", func(c *Config) { c.Residency = ResidencyStreaming }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := DefaultConfig(2)
-			cfg.MaxSupersteps = 12
-			v.mutate(&cfg)
-			base := make([][]float64, len(progs))
-			for i, prog := range progs {
-				base[i] = serialValues(t, p, cfg, prog)
-			}
-			cfg.WorkDir = t.TempDir()
-			cfg.MaxConcurrentJobs = 2
-			se, err := Open(Input{Partition: p}, cfg)
+		t.Run(tr.String(), func(t *testing.T) {
+			mcfg := cfg
+			mcfg.Transport = tr
+			mcfg.WorkDir = t.TempDir()
+			mcfg.MaxConcurrentJobs = 3
+			se, err := Open(Input{Partition: p}, mcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +93,82 @@ func TestMultiJobCachePolicyMatrix(t *testing.T) {
 				}
 			}
 			for i, res := range results {
-				wantExact(t, res.Values, base[i], v.name+"/"+progs[i].Name())
+				wantExact(t, res.Values, base[i], progs[i].Name())
+			}
+		})
+	}
+}
+
+// TestMultiJobCachePolicyMatrix re-runs the bit-identity check under every
+// cache regime the engine offers: a small Clock cache, a Clock cache that
+// must evict (two traversals whose wavefronts walk a chain's tiles past a
+// two-tile budget, so the tiles behind them age out), a disabled cache, and
+// the forced streaming tier (every tile re-read every superstep, the
+// configuration where the share window actually carries traffic).
+func TestMultiJobCachePolicyMatrix(t *testing.T) {
+	_, p := sessionGraph(t)
+	chain, err := tile.Split(graph.GenerateChain(64), tile.Options{TileSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []Program{apps.PageRank{}, apps.WCC{}}
+	walks := []Program{apps.SSSP{Source: 0}, apps.BFS{Source: 0}}
+	clock := func(capacity int64) func(*Config) {
+		return func(c *Config) {
+			c.CachePolicyAuto = false
+			c.CachePolicy = cache.Clock
+			c.CacheCapacity = capacity
+		}
+	}
+	variants := []struct {
+		name   string
+		part   *tile.Partition
+		progs  []Program
+		mutate func(*Config)
+		evicts bool // the Clock cache must evict tiles
+	}{
+		{"clock-small", p, progs, clock(64 << 10), false},
+		{"clock-evicting", chain, walks, func(c *Config) {
+			clock(2 * chain.Tiles[1].SizeBytes())(c)
+			c.CacheAuto = false // raw tiles, so two fit the budget exactly
+			c.CacheMode = compress.None
+			c.Residency = ResidencyCached
+			c.MaxSupersteps = 80 // both walks reach the chain's end
+		}, true},
+		{"cache-off", p, progs, func(c *Config) { c.CacheCapacity = -1 }, false},
+		{"streaming", p, progs, func(c *Config) { c.Residency = ResidencyStreaming }, false},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.MaxSupersteps = 12
+			v.mutate(&cfg)
+			base := make([][]float64, len(v.progs))
+			for i, prog := range v.progs {
+				base[i] = serialValues(t, v.part, cfg, prog)
+			}
+			cfg.WorkDir = t.TempDir()
+			cfg.MaxConcurrentJobs = 2
+			se, err := Open(Input{Partition: v.part}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			results, errs := submitConcurrently(t, se, v.progs, make([]JobOptions, len(v.progs)))
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("%s: %v", v.progs[i].Name(), err)
+				}
+			}
+			var evictions int64
+			for i, res := range results {
+				wantExact(t, res.Values, base[i], v.name+"/"+v.progs[i].Name())
+				for _, sv := range res.Servers {
+					evictions = max(evictions, sv.Cache.Evictions)
+				}
+			}
+			if v.evicts && evictions == 0 {
+				t.Fatalf("%s: no server evicted a tile", v.name)
 			}
 		})
 	}

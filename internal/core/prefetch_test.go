@@ -16,7 +16,7 @@ import (
 // TestPrefetchDeterminism pins the out-of-core pipeline's contract: the
 // prefetcher and the streaming tier only change where tile bytes come from,
 // never the computed values. Every combination of prefetch on/off, cached or
-// streaming residency, transport, and lockstep must match the prefetch-off
+// streaming residency, and transport must match the prefetch-off
 // single-server run down to the last float64 bit, for every program.
 func TestPrefetchDeterminism(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 600, 6000, 42)
@@ -27,13 +27,12 @@ func TestPrefetchDeterminism(t *testing.T) {
 	const steps = 8
 	progs := []Program{apps.PageRank{}, apps.SSSP{}, apps.WCC{}}
 
-	run := func(t *testing.T, prog Program, servers, prefetch int, residency ResidencyMode, tr cluster.TransportKind, lockstep bool) []float64 {
+	run := func(t *testing.T, prog Program, servers, prefetch int, residency ResidencyMode, tr cluster.TransportKind) []float64 {
 		t.Helper()
 		cfg := DefaultConfig(servers)
 		cfg.WorkDir = t.TempDir()
 		cfg.MaxSupersteps = steps
 		cfg.Transport = tr
-		cfg.Lockstep = lockstep
 		cfg.PrefetchDepth = prefetch
 		cfg.Residency = residency
 		res, err := New(cfg).Run(Input{Partition: p}, prog)
@@ -44,29 +43,27 @@ func TestPrefetchDeterminism(t *testing.T) {
 	}
 
 	for _, prog := range progs {
-		want := run(t, prog, 1, -1, ResidencyAuto, cluster.Inproc, true)
+		want := run(t, prog, 1, -1, ResidencyAuto, cluster.Inproc)
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			for _, lockstep := range []bool{false, true} {
-				for _, mode := range []struct {
-					name      string
-					prefetch  int
-					residency ResidencyMode
-				}{
-					{"prefetch=8/cached", 8, ResidencyCached},
-					{"prefetch=8/streaming", 8, ResidencyStreaming},
-					{"prefetch=off/streaming", -1, ResidencyStreaming},
-				} {
-					name := fmt.Sprintf("%s/%s/%s/lockstep=%v", prog.Name(), mode.name, tr, lockstep)
-					t.Run(name, func(t *testing.T) {
-						got := run(t, prog, 3, mode.prefetch, mode.residency, tr, lockstep)
-						for v := range want {
-							if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-								t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
-									v, math.Float64bits(got[v]), math.Float64bits(want[v]))
-							}
+			for _, mode := range []struct {
+				name      string
+				prefetch  int
+				residency ResidencyMode
+			}{
+				{"prefetch=8/cached", 8, ResidencyCached},
+				{"prefetch=8/streaming", 8, ResidencyStreaming},
+				{"prefetch=off/streaming", -1, ResidencyStreaming},
+			} {
+				name := fmt.Sprintf("%s/%s/%s", prog.Name(), mode.name, tr)
+				t.Run(name, func(t *testing.T) {
+					got := run(t, prog, 3, mode.prefetch, mode.residency, tr)
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
+								v, math.Float64bits(got[v]), math.Float64bits(want[v]))
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

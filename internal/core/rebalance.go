@@ -239,7 +239,8 @@ func newRebalancer(cfg Config, numNodes int) *rebalancer {
 // recvRebalanceMsg returns the next in-phase message of the wanted kind,
 // stashing other rebalance kinds that arrive first. Only rebalance kinds
 // can legally be in flight — the phase is bracketed by barriers — so any
-// other payload is a protocol error.
+// other payload is a protocol error. The returned payload is a copy the
+// caller owns.
 func (s *server) recvRebalanceMsg(want byte) (from int, payload []byte, err error) {
 	r := s.rebal
 	for i, m := range r.stash {
@@ -249,23 +250,29 @@ func (s *server) recvRebalanceMsg(want byte) (from int, payload []byte, err erro
 		}
 	}
 	for {
-		from, p, err := s.node.Recv()
-		if err != nil {
+		var m stashMsg
+		err := s.node.RecvStream(1, func(from int, p []byte) error {
+			if len(p) > 0 && p[0] == stepFrameMagic {
+				// A duplicated update frame that leaked across the step
+				// boundary (scripted WireDuplicate); stale, skip it.
+				return nil
+			}
+			kind, err := rebalanceKind(p)
+			if err != nil {
+				return fmt.Errorf("core: server %d mid-rebalance: %w", s.node.ID(), err)
+			}
+			// The receive buffer is recycled when this callback returns.
+			m = stashMsg{kind: kind, from: from, payload: append([]byte(nil), p...)}
+			return nil
+		})
+		switch {
+		case err != nil:
 			return 0, nil, err
+		case m.kind == want:
+			return m.from, m.payload, nil
+		case m.kind != 0:
+			r.stash = append(r.stash, m)
 		}
-		if len(p) > 0 && p[0] == stepFrameMagic {
-			// A duplicated update frame that leaked across the step
-			// boundary (scripted WireDuplicate); stale, skip it.
-			continue
-		}
-		kind, err := rebalanceKind(p)
-		if err != nil {
-			return 0, nil, fmt.Errorf("core: server %d mid-rebalance: %w", s.node.ID(), err)
-		}
-		if kind == want {
-			return from, p, nil
-		}
-		r.stash = append(r.stash, stashMsg{kind: kind, from: from, payload: p})
 	}
 }
 
@@ -443,13 +450,9 @@ func (s *server) rebalanceStep(step int, st *StepStats) error {
 			if err != nil {
 				return fmt.Errorf("core: server %d reading tile %d for migration: %w", n.ID(), mv.Tile, err)
 			}
-			if s.sender != nil {
-				wb := s.sender.Acquire()
-				wb.Data = appendTileMsg(wb.Data[:0], mv.Tile, blob)
-				if err := s.sender.Send(mv.To, wb); err != nil {
-					return err
-				}
-			} else if err := n.Send(mv.To, appendTileMsg(nil, mv.Tile, blob)); err != nil {
+			wb := s.sender.Acquire()
+			wb.Data = appendTileMsg(wb.Data[:0], mv.Tile, blob)
+			if err := s.sender.Send(mv.To, wb); err != nil {
 				return err
 			}
 			if err := s.dropTile(k); err != nil {
@@ -466,7 +469,7 @@ func (s *server) rebalanceStep(step int, st *StepStats) error {
 			inbound[mv.Tile] = mv.From
 		}
 	}
-	if donated && s.sender != nil {
+	if donated {
 		// Every payload must be on the wire before this donor re-enters the
 		// barrier, or the next superstep could start with tiles in limbo.
 		if err := s.sender.Flush(); err != nil {

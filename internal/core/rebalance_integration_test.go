@@ -40,7 +40,7 @@ func rotateHook(numTiles int) func(step int, costs [][]costmodel.TileCost) []cos
 
 // TestRebalanceDeterminism pins the bit-identical-results contract of the
 // rebalancer across rebalance off/on (with per-step forced migrations),
-// both transports, both communication modes and several cluster sizes:
+// both transports and several cluster sizes:
 // which server computes a tile changes timing, never values.
 func TestRebalanceDeterminism(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 600, 6000, 42)
@@ -50,13 +50,12 @@ func TestRebalanceDeterminism(t *testing.T) {
 	}
 	const steps = 8
 
-	run := func(t *testing.T, servers int, tr cluster.TransportKind, lockstep, migrate bool) *Result {
+	run := func(t *testing.T, servers int, tr cluster.TransportKind, migrate bool) *Result {
 		t.Helper()
 		cfg := DefaultConfig(servers)
 		cfg.WorkDir = t.TempDir()
 		cfg.MaxSupersteps = steps
 		cfg.Transport = tr
-		cfg.Lockstep = lockstep
 		if migrate {
 			cfg.RebalancePlanHook = rotateHook(p.NumTiles())
 		} else {
@@ -69,28 +68,26 @@ func TestRebalanceDeterminism(t *testing.T) {
 		return res
 	}
 
-	want := run(t, 1, cluster.Inproc, true, false).Values
+	want := run(t, 1, cluster.Inproc, false).Values
 	for _, servers := range []int{2, 4} {
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			for _, lockstep := range []bool{false, true} {
-				name := fmt.Sprintf("servers=%d/%s/lockstep=%v/migrate", servers, tr, lockstep)
-				t.Run(name, func(t *testing.T) {
-					res := run(t, servers, tr, lockstep, true)
-					var moved int
-					for _, st := range res.Steps {
-						moved += st.MigratedTiles
+			name := fmt.Sprintf("servers=%d/%s/migrate", servers, tr)
+			t.Run(name, func(t *testing.T) {
+				res := run(t, servers, tr, true)
+				var moved int
+				for _, st := range res.Steps {
+					moved += st.MigratedTiles
+				}
+				if moved == 0 {
+					t.Fatal("forced-migration run migrated no tiles")
+				}
+				for v := range want {
+					if math.Float64bits(res.Values[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("vertex %d = %x, want %x (not bit-identical after %d migrations)",
+							v, math.Float64bits(res.Values[v]), math.Float64bits(want[v]), moved)
 					}
-					if moved == 0 {
-						t.Fatal("forced-migration run migrated no tiles")
-					}
-					for v := range want {
-						if math.Float64bits(res.Values[v]) != math.Float64bits(want[v]) {
-							t.Fatalf("vertex %d = %x, want %x (not bit-identical after %d migrations)",
-								v, math.Float64bits(res.Values[v]), math.Float64bits(want[v]), moved)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

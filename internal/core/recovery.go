@@ -188,7 +188,7 @@ func (s *server) recoverFromFailure() (restore int, err error) {
 		for i := range s.staged {
 			s.staged[i] = s.staged[i][:0]
 		}
-		if !s.lockstep && n.NumNodes() > 1 {
+		if n.NumNodes() > 1 {
 			s.sender = n.NewSender(s.queueCap)
 		}
 		s.recoveries++

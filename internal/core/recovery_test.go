@@ -183,36 +183,31 @@ func TestRecoveryKeepsEveryStepRow(t *testing.T) {
 // bit-identical to the fault-free run. Kills at steps 0 and 1 hit before
 // the first checkpoint exists, exercising the restart-from-scratch path;
 // later kills restore from the newest common checkpoint and replay.
-// The sweep runs on both the pipelined and the lockstep communication
-// subsystems.
 func TestCrashRecoverySweep(t *testing.T) {
 	p := chaosPartition(t)
 	want := chaosRun(t, p, nil)
 	wantDead(t, want, "baseline")
 
-	for _, lockstep := range []bool{false, true} {
-		for ks := 0; ks < 6; ks++ {
-			kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
-			name := fmt.Sprintf("lockstep=%v/step=%d/point=%d", lockstep, ks, kill.Point)
-			t.Run(name, func(t *testing.T) {
-				res := chaosRun(t, p, func(c *Config) {
-					c.Lockstep = lockstep
-					c.Faults = &FaultPlan{Kills: []Kill{kill}}
-				})
-				wantExact(t, res.Values, want.Values, name)
-				wantDead(t, res, name, 1)
-				if res.Supersteps != want.Supersteps {
-					t.Fatalf("%s: ran %d supersteps, want %d", name, res.Supersteps, want.Supersteps)
-				}
-				var recoveries int
-				for _, sv := range res.Servers {
-					recoveries += sv.Recoveries
-				}
-				if recoveries == 0 {
-					t.Fatalf("%s: no survivor recorded a recovery round", name)
-				}
+	for ks := 0; ks < 6; ks++ {
+		kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
+		name := fmt.Sprintf("step=%d/point=%d", ks, kill.Point)
+		t.Run(name, func(t *testing.T) {
+			res := chaosRun(t, p, func(c *Config) {
+				c.Faults = &FaultPlan{Kills: []Kill{kill}}
 			})
-		}
+			wantExact(t, res.Values, want.Values, name)
+			wantDead(t, res, name, 1)
+			if res.Supersteps != want.Supersteps {
+				t.Fatalf("%s: ran %d supersteps, want %d", name, res.Supersteps, want.Supersteps)
+			}
+			var recoveries int
+			for _, sv := range res.Servers {
+				recoveries += sv.Recoveries
+			}
+			if recoveries == 0 {
+				t.Fatalf("%s: no survivor recorded a recovery round", name)
+			}
+		})
 	}
 }
 
@@ -227,19 +222,17 @@ func TestCrashRecoveryTCP(t *testing.T) {
 	want := chaosRun(t, p, nil) // Inproc baseline
 
 	for _, tc := range []struct {
-		ks       int
-		point    KillPoint
-		lockstep bool
+		ks    int
+		point KillPoint
 	}{
-		{1, KillMidStep, false},
-		{4, KillAtBarrier, false},
-		{2, KillAtStepStart, true},
+		{1, KillMidStep},
+		{4, KillAtBarrier},
+		{2, KillAtStepStart},
 	} {
-		name := fmt.Sprintf("tcp/lockstep=%v/step=%d/point=%d", tc.lockstep, tc.ks, tc.point)
+		name := fmt.Sprintf("tcp/step=%d/point=%d", tc.ks, tc.point)
 		t.Run(name, func(t *testing.T) {
 			res := chaosRun(t, p, func(c *Config) {
 				c.Transport = cluster.TCP
-				c.Lockstep = tc.lockstep
 				c.Faults = &FaultPlan{Kills: []Kill{{Server: 1, Step: tc.ks, Point: tc.point}}}
 			})
 			wantExact(t, res.Values, want.Values, name)
@@ -282,17 +275,11 @@ func TestWireDuplicateTolerated(t *testing.T) {
 		{From: 1, To: -1, Frame: 2, Action: cluster.WireDuplicate},
 		{From: 2, To: 0, Frame: 5, Action: cluster.WireDuplicate},
 	}}
-	for _, lockstep := range []bool{false, true} {
-		name := fmt.Sprintf("dup/lockstep=%v", lockstep)
-		t.Run(name, func(t *testing.T) {
-			res := chaosRun(t, p, func(c *Config) {
-				c.Lockstep = lockstep
-				c.Faults = plan
-			})
-			wantExact(t, res.Values, want.Values, name)
-			wantDead(t, res, name) // nobody dies
-		})
-	}
+	t.Run("dup", func(t *testing.T) {
+		res := chaosRun(t, p, func(c *Config) { c.Faults = plan })
+		wantExact(t, res.Values, want.Values, "dup")
+		wantDead(t, res, "dup") // nobody dies
+	})
 }
 
 // TestWireDropRecovered drops one update frame on the 0→1 link. The

@@ -71,25 +71,19 @@ func TestRejoinSweep(t *testing.T) {
 	want := chaosRun(t, p, nil)
 	wantDead(t, want, "baseline")
 
-	for _, lockstep := range []bool{false, true} {
-		for ks := 0; ks < 5; ks++ {
-			kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
-			rejoin := Rejoin{Server: 1, Step: ks + 1}
-			name := fmt.Sprintf("lockstep=%v/kill=%d/rejoin=%d", lockstep, ks, rejoin.Step)
-			t.Run(name, func(t *testing.T) {
-				if lockstep && testing.Short() {
-					t.Skip("lockstep rejoin sweep skipped in short mode")
+	for ks := 0; ks < 5; ks++ {
+		kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
+		rejoin := Rejoin{Server: 1, Step: ks + 1}
+		name := fmt.Sprintf("kill=%d/rejoin=%d", ks, rejoin.Step)
+		t.Run(name, func(t *testing.T) {
+			job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
+				c.Faults = &FaultPlan{
+					Kills:   []Kill{kill},
+					Rejoins: []Rejoin{rejoin},
 				}
-				job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
-					c.Lockstep = lockstep
-					c.Faults = &FaultPlan{
-						Kills:   []Kill{kill},
-						Rejoins: []Rejoin{rejoin},
-					}
-				})
-				wantRejoined(t, job1, job2, want, name)
 			})
-		}
+			wantRejoined(t, job1, job2, want, name)
+		})
 	}
 }
 
@@ -103,19 +97,17 @@ func TestRejoinTCP(t *testing.T) {
 	want := chaosRun(t, p, nil) // Inproc baseline
 
 	for _, tc := range []struct {
-		ks, rs   int
-		point    KillPoint
-		lockstep bool
+		ks, rs int
+		point  KillPoint
 	}{
-		{1, 2, KillMidStep, false},
-		{3, 4, KillAtBarrier, false},
-		{2, 3, KillAtStepStart, true},
+		{1, 2, KillMidStep},
+		{3, 4, KillAtBarrier},
+		{2, 3, KillAtStepStart},
 	} {
-		name := fmt.Sprintf("tcp/lockstep=%v/kill=%d/rejoin=%d", tc.lockstep, tc.ks, tc.rs)
+		name := fmt.Sprintf("tcp/kill=%d/rejoin=%d", tc.ks, tc.rs)
 		t.Run(name, func(t *testing.T) {
 			job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
 				c.Transport = cluster.TCP
-				c.Lockstep = tc.lockstep
 				c.Faults = &FaultPlan{
 					Kills:   []Kill{{Server: 1, Step: tc.ks, Point: tc.point}},
 					Rejoins: []Rejoin{{Server: 1, Step: tc.rs}},

@@ -46,10 +46,6 @@ type JobOptions struct {
 	// MaxSupersteps bounds this job's superstep loop; 0 inherits the
 	// session Config's bound.
 	MaxSupersteps int
-	// Lockstep forces this job onto the serialized communication baseline.
-	// It can only opt in: a session configured with Config.Lockstep runs
-	// every job lockstep regardless.
-	Lockstep bool
 	// MsgCodec compresses this job's update broadcasts; nil inherits the
 	// session Config's codec.
 	MsgCodec *compress.Mode
@@ -110,7 +106,6 @@ type job struct {
 	prog      Program
 	ctx       context.Context
 	maxSteps  int
-	lockstep  bool
 	codec     compress.Mode
 	progress  func(StepStats)
 	ckptEvery int
@@ -632,7 +627,6 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 		prog:      prog,
 		ctx:       ctx,
 		maxSteps:  maxSteps,
-		lockstep:  se.cfg.Lockstep || opts.Lockstep,
 		codec:     codec,
 		progress:  opts.Progress,
 		ckptEvery: ckptEvery,

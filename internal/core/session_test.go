@@ -276,8 +276,8 @@ func TestSessionCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestSessionPerJobKnobs: MaxSupersteps, Lockstep and MsgCodec vary per
-// Submit on one session without disturbing results.
+// TestSessionPerJobKnobs: MaxSupersteps and MsgCodec vary per Submit on one
+// session without disturbing results.
 func TestSessionPerJobKnobs(t *testing.T) {
 	_, p := sessionGraph(t)
 	cfg := DefaultConfig(2)
@@ -298,9 +298,8 @@ func TestSessionPerJobKnobs(t *testing.T) {
 		t.Fatalf("default job ran %d supersteps, want the session default 9", base.Supersteps)
 	}
 	for i, opts := range []JobOptions{
-		{MaxSupersteps: 9, Lockstep: true},
+		{MaxSupersteps: 9},
 		{MaxSupersteps: 9, MsgCodec: &raw},
-		{MaxSupersteps: 9, Lockstep: true, MsgCodec: &raw},
 	} {
 		res, err := se.Submit(context.Background(), apps.PageRank{}, opts)
 		if err != nil {

@@ -96,13 +96,13 @@ type ServerStats struct {
 	BytesRecv int64 `json:"bytes_recv"`
 	// SendStalls counts broadcast enqueues that found a full send queue
 	// (a compute worker backpressured by wire time); SendQueueHighWater is
-	// the deepest any destination queue got. Both are zero in Lockstep mode
-	// and on single-server runs.
+	// the deepest any destination queue got. Both are zero on single-server
+	// runs.
 	SendStalls         int64 `json:"send_stalls"`
 	SendQueueHighWater int64 `json:"send_queue_high_water"`
 	// SendQueueCap is the per-destination send-queue capacity at the end of
-	// the job — adaptive sizing (Config.SendQueueCap == 0) may have moved
-	// it from the initial 32. Zero for lockstep jobs and single-server runs.
+	// the job — a serial session's adaptive sizing may have moved it from
+	// the initial 32. Zero on single-server runs.
 	SendQueueCap int `json:"send_queue_cap"`
 	// TilesMigratedIn and TilesMigratedOut count tiles the rebalancer moved
 	// onto and off this server mid-run.

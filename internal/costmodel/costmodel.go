@@ -221,15 +221,6 @@ func CyclicHitRatio(workingSetBytes, capacityBytes int64) float64 {
 	return float64(capacityBytes) / float64(workingSetBytes)
 }
 
-// LRUCyclicHitRatio models LRU under the same sweep: every tile hits when
-// everything fits, and essentially nothing hits otherwise.
-func LRUCyclicHitRatio(workingSetBytes, capacityBytes int64) float64 {
-	if workingSetBytes <= 0 || capacityBytes >= workingSetBytes {
-		return 1
-	}
-	return 0
-}
-
 // SelectClockPolicy reports whether the engine should prefer the CLOCK
 // eviction policy over the paper's admit-no-evict: exactly when the
 // capacity cannot hold the expected cached working set. Below that point

@@ -160,17 +160,6 @@ func TestCyclicHitRatio(t *testing.T) {
 	}
 }
 
-func TestLRUCyclicHitRatio(t *testing.T) {
-	if r := LRUCyclicHitRatio(100, 100); r != 1 {
-		t.Fatalf("LRU with full capacity %g, want 1", r)
-	}
-	// The cyclic-sweep cliff: one byte short of the working set and LRU
-	// evicts every tile just before its reuse.
-	if r := LRUCyclicHitRatio(100, 99); r != 0 {
-		t.Fatalf("LRU one byte short %g, want 0", r)
-	}
-}
-
 func TestSelectClockPolicy(t *testing.T) {
 	if !SelectClockPolicy(100, 50) {
 		t.Fatal("constrained capacity must select CLOCK")

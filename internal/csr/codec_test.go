@@ -30,7 +30,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 		if sh.filtered {
 			want.BuildFilter(0.01)
 		}
-		enc := want.Encode()
+		enc := want.AppendEncode(nil)
 		if err := DecodeInto(&dst, enc); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
@@ -74,7 +74,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 func TestDecodeIntoDoesNotAliasInput(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	want := buildTile(rng, 1, 0, 30, 60, true)
-	enc := want.Encode()
+	enc := want.AppendEncode(nil)
 	var dst Tile
 	if err := DecodeInto(&dst, enc); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestDecodeIntoAllocs(t *testing.T) {
 	}
 	tl := buildBigTile(1<<14, true)
 	tl.BuildFilter(0.01)
-	enc := tl.Encode()
+	enc := tl.AppendEncode(nil)
 	var dst Tile
 	if err := DecodeInto(&dst, enc); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestAppendEncodeAllocs(t *testing.T) {
 	}
 	tl := buildBigTile(1<<14, true)
 	tl.BuildFilter(0.01)
-	buf := tl.Encode()
+	buf := tl.AppendEncode(nil)
 	allocs := testing.AllocsPerRun(20, func() {
 		buf = tl.AppendEncode(buf[:0])
 	})
@@ -136,7 +136,7 @@ func TestDecodeIntoRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	good := buildTile(rng, 2, 0, 25, 50, true)
 	good.BuildFilter(0.01)
-	enc := good.Encode()
+	enc := good.AppendEncode(nil)
 
 	cases := map[string]func([]byte) []byte{
 		"empty":            func(e []byte) []byte { return nil },
@@ -200,24 +200,31 @@ func TestRadixSortUint32(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes and mutated valid encodings through both
-// decode paths; they must never panic, must agree on acceptance, and any
-// accepted tile must re-encode to a decodable form.
+// FuzzDecode feeds arbitrary bytes and mutated valid encodings through
+// DecodeInto twice — into a fresh tile and into one whose arrays an earlier
+// decode filled, as the cache's scratch tiles are; the two must never panic,
+// must agree on acceptance, and any accepted tile must re-encode to a
+// decodable form.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewPCG(21, 21))
+	var seeds [][]byte
 	for _, weighted := range []bool{false, true} {
 		tl := buildTile(rng, 9, 2, 34, 70, weighted)
 		tl.BuildFilter(0.05)
-		f.Add(tl.Encode())
+		seeds = append(seeds, tl.AppendEncode(nil))
+		f.Add(seeds[len(seeds)-1])
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, 36))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(data)
+		got, err := decode(data)
 		var dst Tile
+		if err := DecodeInto(&dst, seeds[1]); err != nil {
+			t.Fatal(err)
+		}
 		errInto := DecodeInto(&dst, data)
 		if (err == nil) != (errInto == nil) {
-			t.Fatalf("Decode err=%v but DecodeInto err=%v", err, errInto)
+			t.Fatalf("fresh decode err=%v but reused-tile decode err=%v", err, errInto)
 		}
 		if err != nil {
 			return
@@ -225,7 +232,7 @@ func FuzzDecode(f *testing.F) {
 		if vErr := got.Validate(); vErr != nil {
 			t.Fatalf("accepted tile fails validation: %v", vErr)
 		}
-		if _, err := Decode(got.Encode()); err != nil {
+		if _, err := decode(got.AppendEncode(nil)); err != nil {
 			t.Fatalf("re-encoded tile rejected: %v", err)
 		}
 	})

@@ -280,27 +280,12 @@ func (t *Tile) AppendEncode(dst []byte) []byte {
 	return append(dst, crc[:]...)
 }
 
-// Encode serializes the tile to its binary on-disk form.
-func (t *Tile) Encode() []byte {
-	return t.AppendEncode(make([]byte, 0, t.EncodedSize()))
-}
-
-// Decode parses a tile encoded by Encode, verifying the checksum and all
-// structural invariants. It returns a descriptive error on any corruption.
-func Decode(data []byte) (*Tile, error) {
-	t := new(Tile)
-	if err := DecodeInto(t, data); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// DecodeInto parses a tile encoded by Encode into t, verifying the checksum
-// and all structural invariants. It reuses t's row/col/val arrays and Bloom
-// filter storage when their capacity suffices, so refilling the same Tile —
-// the edge-cache miss path — is allocation-free in steady state. The decoded
-// tile owns its memory; it never aliases data. On error the tile's contents
-// are unspecified and must not be used.
+// DecodeInto parses a tile encoded by AppendEncode into t, verifying the
+// checksum and all structural invariants. It reuses t's row/col/val arrays
+// and Bloom filter storage when their capacity suffices, so refilling the
+// same Tile — the edge-cache miss path — is allocation-free in steady state.
+// The decoded tile owns its memory; it never aliases data. On error the
+// tile's contents are unspecified and must not be used.
 func DecodeInto(t *Tile, data []byte) error {
 	if len(data) < 36 {
 		return fmt.Errorf("csr: encoded tile too short (%d bytes)", len(data))

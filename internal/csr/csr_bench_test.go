@@ -113,8 +113,8 @@ func TestDecodePerWordReferenceAgrees(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	tl := buildTile(rng, 2, 4, 60, 90, true)
 	tl.BuildFilter(0.01)
-	enc := tl.Encode()
-	a, err := Decode(enc)
+	enc := tl.AppendEncode(nil)
+	a, err := decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,12 @@ const benchEdges = 1 << 20 // ≥1M edges per the acceptance criterion
 
 func BenchmarkTileDecode(b *testing.B) {
 	tl := buildBigTile(benchEdges, true)
-	enc := tl.Encode()
+	enc := tl.AppendEncode(nil)
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		if _, err := decode(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func BenchmarkTileDecode(b *testing.B) {
 
 func BenchmarkTileDecodeInto(b *testing.B) {
 	tl := buildBigTile(benchEdges, true)
-	enc := tl.Encode()
+	enc := tl.AppendEncode(nil)
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	var dst Tile
@@ -163,7 +163,7 @@ func BenchmarkTileDecodeInto(b *testing.B) {
 
 func BenchmarkTileDecodePerWordReference(b *testing.B) {
 	tl := buildBigTile(benchEdges, true)
-	enc := tl.Encode()
+	enc := tl.AppendEncode(nil)
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -180,7 +180,7 @@ func BenchmarkTileEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tl.Encode()
+		_ = tl.AppendEncode(nil)
 	}
 }
 

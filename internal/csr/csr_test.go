@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// decode parses data into a fresh tile.
+func decode(data []byte) (*Tile, error) {
+	t := new(Tile)
+	if err := DecodeInto(t, data); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // buildTile constructs a small valid tile covering targets [lo,hi) with
 // random edges.
 func buildTile(rng *rand.Rand, id, lo, hi, nv uint32, weighted bool) *Tile {
@@ -40,7 +49,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if err := tl.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Decode(tl.Encode())
+			got, err := decode(tl.AppendEncode(nil))
 			if err != nil {
 				t.Fatalf("weighted=%v filter=%v: %v", weighted, withFilter, err)
 			}
@@ -138,8 +147,8 @@ func TestDecodeRejectsBitrot(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	tl := buildTile(rng, 1, 0, 20, 40, true)
 	tl.BuildFilter(0.01)
-	enc := tl.Encode()
-	if _, err := Decode(enc[:10]); err == nil {
+	enc := tl.AppendEncode(nil)
+	if _, err := decode(enc[:10]); err == nil {
 		t.Fatal("truncated tile accepted")
 	}
 	// Flip one byte anywhere: the CRC must catch it.
@@ -147,7 +156,7 @@ func TestDecodeRejectsBitrot(t *testing.T) {
 		bad := make([]byte, len(enc))
 		copy(bad, enc)
 		bad[pos] ^= 0xFF
-		if _, err := Decode(bad); err == nil {
+		if _, err := decode(bad); err == nil {
 			t.Errorf("bit flip at %d not detected", pos)
 		}
 	}
@@ -172,7 +181,7 @@ func TestEmptyTile(t *testing.T) {
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(tl.Encode())
+	got, err := decode(tl.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +200,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if filtered {
 			tl.BuildFilter(0.01)
 		}
-		got, err := Decode(tl.Encode())
+		got, err := decode(tl.AppendEncode(nil))
 		if err != nil {
 			return false
 		}

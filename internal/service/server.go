@@ -204,7 +204,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	jb := s.reg.add(req.Program, cancel)
 	ro := graphh.RunOptions{
 		MaxSupersteps:   req.Options.MaxSupersteps,
-		Lockstep:        req.Options.Lockstep,
 		MessageCodec:    codec,
 		CheckpointEvery: req.Options.CheckpointEvery,
 		Weight:          req.Options.Weight,

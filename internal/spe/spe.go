@@ -182,7 +182,7 @@ func (e *Engine) PreprocessEdgeList(el *graph.EdgeList, outDir string, opts tile
 				return
 			}
 			p := path.Join(outDir, "tiles", fmt.Sprintf("tile-%05d", t))
-			enc := tl.Encode()
+			enc := tl.AppendEncode(nil)
 			if err := e.DFS.WriteFile(p, enc); err != nil {
 				errs[t] = err
 				return
@@ -333,7 +333,11 @@ func (e *Engine) FetchTile(m *Manifest, i int) (*csr.Tile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spe: fetching tile %d: %w", i, err)
 	}
-	return csr.Decode(data)
+	t := new(csr.Tile)
+	if err := csr.DecodeInto(t, data); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // FetchDegrees loads the in- and out-degree arrays from the DFS.

@@ -19,7 +19,7 @@ import (
 func TestEngineConfigMapsEveryKnob(t *testing.T) {
 	zlib1 := CodecZlib1
 	snappy := CodecSnappy
-	lru := CacheLRU
+	clock := CacheClock
 	plan := &FaultPlan{Kills: []Kill{{Server: 1, Step: 2, Point: KillMidStep}}}
 	full := Options{
 		Servers:             4,
@@ -32,14 +32,12 @@ func TestEngineConfigMapsEveryKnob(t *testing.T) {
 		NetBandwidth:        3e6,
 		CacheCapacity:       4096,
 		CacheMode:           &zlib1,
-		CachePolicy:         &lru,
+		CachePolicy:         &clock,
 		PrefetchDepth:       7,
 		Residency:           ResidencyStreaming,
 		MessageCodec:        &snappy,
 		OnDemandReplication: true,
 		DisableBloomSkip:    true,
-		Lockstep:            true,
-		SendQueueCap:        11,
 		DisableRebalance:    true,
 		RebalanceRatio:      1.7,
 		CheckpointEvery:     4,
@@ -69,12 +67,10 @@ func TestEngineConfigMapsEveryKnob(t *testing.T) {
 		{"CacheAuto", cfg.CacheAuto, false},
 		{"CacheMode", cfg.CacheMode, compress.Zlib1},
 		{"CachePolicyAuto", cfg.CachePolicyAuto, false},
-		{"CachePolicy", cfg.CachePolicy, cache.LRU},
+		{"CachePolicy", cfg.CachePolicy, cache.Clock},
 		{"MsgCodec", cfg.MsgCodec, compress.Snappy},
 		{"Replication", cfg.Replication, core.OnDemand},
 		{"BloomSkip", cfg.BloomSkip, false},
-		{"Lockstep", cfg.Lockstep, true},
-		{"SendQueueCap", cfg.SendQueueCap, 11},
 		{"Rebalance", cfg.Rebalance, core.RebalanceOff},
 		{"RebalanceRatio", cfg.RebalanceRatio, 1.7},
 		{"CheckpointEvery", cfg.CheckpointEvery, 4},
@@ -114,9 +110,6 @@ func TestEngineConfigAutoSelectDefaults(t *testing.T) {
 	}
 	if cfg.Rebalance != core.RebalanceAuto {
 		t.Errorf("rebalancing must default to auto, got %v", cfg.Rebalance)
-	}
-	if cfg.Lockstep {
-		t.Error("pipelined communication must default on")
 	}
 	if cfg.PrefetchDepth != 0 {
 		t.Errorf("prefetch depth must default to automatic sizing, got %d", cfg.PrefetchDepth)
