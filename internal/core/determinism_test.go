@@ -12,6 +12,12 @@ import (
 	"repro/internal/tile"
 )
 
+// pipelinedCase is a path segment of the case names in the determinism,
+// crash and rejoin sweeps. The pipelined send path is the engine's only
+// one; the segment keeps each case's name as it was when a serialized
+// lockstep path ran beside it, so results stay comparable across history.
+const pipelinedCase = "lockstep=false"
+
 // TestPipelinedDeterminism pins the bit-identical-results contract of the
 // pipelined communication subsystem: because foreign batches are staged
 // during compute and applied only after the barrier-side join, and tile
@@ -42,7 +48,7 @@ func TestPipelinedDeterminism(t *testing.T) {
 	want := run(t, 1, cluster.Inproc)
 	for _, servers := range []int{1, 2, 4, 8} {
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			name := fmt.Sprintf("servers=%d/%s", servers, tr)
+			name := fmt.Sprintf("servers=%d/%s/%s", servers, tr, pipelinedCase)
 			t.Run(name, func(t *testing.T) {
 				got := run(t, servers, tr)
 				for v := range want {

@@ -76,7 +76,7 @@ func TestMultiJobMatchesSerial(t *testing.T) {
 		base[i] = serialValues(t, p, cfg, prog)
 	}
 	for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-		t.Run(tr.String(), func(t *testing.T) {
+		t.Run(tr.String()+"/pipelined", func(t *testing.T) {
 			mcfg := cfg
 			mcfg.Transport = tr
 			mcfg.WorkDir = t.TempDir()

@@ -54,7 +54,7 @@ func TestPrefetchDeterminism(t *testing.T) {
 				{"prefetch=8/streaming", 8, ResidencyStreaming},
 				{"prefetch=off/streaming", -1, ResidencyStreaming},
 			} {
-				name := fmt.Sprintf("%s/%s/%s", prog.Name(), mode.name, tr)
+				name := fmt.Sprintf("%s/%s/%s/%s", prog.Name(), mode.name, tr, pipelinedCase)
 				t.Run(name, func(t *testing.T) {
 					got := run(t, prog, 3, mode.prefetch, mode.residency, tr)
 					for v := range want {

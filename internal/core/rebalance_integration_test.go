@@ -71,7 +71,7 @@ func TestRebalanceDeterminism(t *testing.T) {
 	want := run(t, 1, cluster.Inproc, false).Values
 	for _, servers := range []int{2, 4} {
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			name := fmt.Sprintf("servers=%d/%s/migrate", servers, tr)
+			name := fmt.Sprintf("servers=%d/%s/%s/migrate", servers, tr, pipelinedCase)
 			t.Run(name, func(t *testing.T) {
 				res := run(t, servers, tr, true)
 				var moved int

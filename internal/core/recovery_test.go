@@ -190,7 +190,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 
 	for ks := 0; ks < 6; ks++ {
 		kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
-		name := fmt.Sprintf("step=%d/point=%d", ks, kill.Point)
+		name := fmt.Sprintf("%s/step=%d/point=%d", pipelinedCase, ks, kill.Point)
 		t.Run(name, func(t *testing.T) {
 			res := chaosRun(t, p, func(c *Config) {
 				c.Faults = &FaultPlan{Kills: []Kill{kill}}
@@ -229,7 +229,7 @@ func TestCrashRecoveryTCP(t *testing.T) {
 		{4, KillAtBarrier},
 		{2, KillAtStepStart},
 	} {
-		name := fmt.Sprintf("tcp/step=%d/point=%d", tc.ks, tc.point)
+		name := fmt.Sprintf("tcp/%s/step=%d/point=%d", pipelinedCase, tc.ks, tc.point)
 		t.Run(name, func(t *testing.T) {
 			res := chaosRun(t, p, func(c *Config) {
 				c.Transport = cluster.TCP
@@ -275,7 +275,7 @@ func TestWireDuplicateTolerated(t *testing.T) {
 		{From: 1, To: -1, Frame: 2, Action: cluster.WireDuplicate},
 		{From: 2, To: 0, Frame: 5, Action: cluster.WireDuplicate},
 	}}
-	t.Run("dup", func(t *testing.T) {
+	t.Run("dup/"+pipelinedCase, func(t *testing.T) {
 		res := chaosRun(t, p, func(c *Config) { c.Faults = plan })
 		wantExact(t, res.Values, want.Values, "dup")
 		wantDead(t, res, "dup") // nobody dies

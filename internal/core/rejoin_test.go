@@ -74,7 +74,7 @@ func TestRejoinSweep(t *testing.T) {
 	for ks := 0; ks < 5; ks++ {
 		kill := Kill{Server: 1, Step: ks, Point: KillPoint(ks % 3)}
 		rejoin := Rejoin{Server: 1, Step: ks + 1}
-		name := fmt.Sprintf("kill=%d/rejoin=%d", ks, rejoin.Step)
+		name := fmt.Sprintf("%s/kill=%d/rejoin=%d", pipelinedCase, ks, rejoin.Step)
 		t.Run(name, func(t *testing.T) {
 			job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
 				c.Faults = &FaultPlan{
@@ -104,7 +104,7 @@ func TestRejoinTCP(t *testing.T) {
 		{3, 4, KillAtBarrier},
 		{2, 3, KillAtStepStart},
 	} {
-		name := fmt.Sprintf("tcp/kill=%d/rejoin=%d", tc.ks, tc.rs)
+		name := fmt.Sprintf("tcp/%s/kill=%d/rejoin=%d", pipelinedCase, tc.ks, tc.rs)
 		t.Run(name, func(t *testing.T) {
 			job1, job2 := rejoinTwoJobs(t, p, func(c *Config) {
 				c.Transport = cluster.TCP
