@@ -57,8 +57,6 @@ func main() {
 		netBW      = flag.Int64("net-bw", 0, "network bandwidth model, bytes/s (0 = unlimited)")
 		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto from the miss ratio, <0 = off)")
 		residency  = flag.String("residency", "auto", "tile residency tier: auto, cached, streaming")
-		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps")
-		rebalRatio = flag.Float64("rebalance-ratio", 0, "straggler trigger: server step cost over ratio x cluster mean (0 = 1.3)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the vertex state every K supersteps for crash recovery (0 = off)")
 		failTO     = flag.Duration("failure-timeout", 0, "declare a server dead after its traffic stalls this long, e.g. 2s (0 = only self-declared crashes)")
 		concJobs   = flag.Int("concurrent-jobs", 1, "run the -program jobs concurrently, up to N in flight (multi-tenant session; <=1 = back-to-back)")
@@ -119,8 +117,6 @@ func main() {
 		DiskReadLatency:    *diskLat,
 		NetBandwidth:       *netBW,
 		PrefetchDepth:      *prefetch,
-		DisableRebalance:   !*rebalance,
-		RebalanceRatio:     *rebalRatio,
 		CheckpointEvery:    *ckptEvery,
 		FailureTimeout:     *failTO,
 		MaxConcurrentJobs:  *concJobs,
@@ -252,15 +248,6 @@ func printJob(name string, res *graphh.Result, first bool, top int) {
 	}
 	fmt.Printf("network: %.2f MB total; peak server memory: %.2f MB\n",
 		float64(res.TotalWireBytes())/1e6, float64(res.PeakMemoryBytes())/1e6)
-	var migrated int
-	var migratedMB float64
-	for _, st := range res.Steps {
-		migrated += st.MigratedTiles
-		migratedMB += float64(st.MigrationBytes) / 1e6
-	}
-	if migrated > 0 {
-		fmt.Printf("rebalancer: migrated %d tiles (%.2f MB) mid-run\n", migrated, migratedMB)
-	}
 	var ckpts, recoveries int
 	var ckptMB float64
 	for _, sv := range res.Servers {

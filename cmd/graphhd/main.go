@@ -55,7 +55,6 @@ func main() {
 		netBW      = flag.Int64("net-bw", 0, "network bandwidth model, bytes/s (0 = unlimited)")
 		prefetch   = flag.Int("prefetch-depth", 0, "sweep-ahead tile prefetch window (0 = auto, <0 = off)")
 		residency  = flag.String("residency", "auto", "tile residency tier: auto, cached, streaming")
-		rebalance  = flag.Bool("rebalance", true, "migrate tiles off straggling servers between supersteps")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint the vertex state every K supersteps (0 = off)")
 		failTO     = flag.Duration("failure-timeout", 0, "declare a server dead after its traffic stalls this long (0 = off)")
 		concJobs   = flag.Int("concurrent-jobs", 2, "jobs the session runs concurrently (1 = serial)")
@@ -86,7 +85,6 @@ func main() {
 		DiskReadLatency:    *diskLat,
 		NetBandwidth:       *netBW,
 		PrefetchDepth:      *prefetch,
-		DisableRebalance:   !*rebalance,
 		CheckpointEvery:    *ckptEvery,
 		FailureTimeout:     *failTO,
 		MaxConcurrentJobs:  *concJobs,
@@ -137,7 +135,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := newHTTPServer(svc.Handler())
 
 	// Readiness line: the actual bound address (important with :0 ports),
 	// printed only once the listener exists. Scripts parse this.
@@ -166,6 +164,24 @@ func main() {
 	}
 	<-serveErr // Serve has returned ErrServerClosed
 	fmt.Println("graphhd: drained, session closed")
+}
+
+// Connection timeouts of the HTTP server. A client that trickles its request
+// headers, or parks an idle keep-alive connection, is cut off instead of
+// holding the connection forever. There is deliberately no write timeout:
+// progress streams and result pages stay open as long as a job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func loadGraph(in, dataset string, scale float64) (*graphh.Graph, error) {

@@ -34,7 +34,7 @@
 //
 // Between Submits the partitioned tiles stay persisted, the edge cache
 // stays warm (a second job's first superstep is served from memory), and
-// rebalanced tile placement carries over. Each Submit resets only per-job
+// tile placement stays fixed. Each Submit resets only per-job
 // state: vertex values, halt votes, statistics, send queues. Cancelling a
 // Submit's context aborts the job at the next superstep edge and leaves
 // the session healthy; RunOptions carries the per-job knobs, including a
@@ -339,22 +339,17 @@ type Options struct {
 	OnDemandReplication bool
 	// DisableBloomSkip turns off inactive-tile skipping (§III-C-4).
 	DisableBloomSkip bool
-	// DisableRebalance turns off the superstep-boundary tile rebalancer.
-	// By default (multi-server, All-in-All) the engine measures per-tile
-	// compute time and migrates tiles off a straggling server between
-	// supersteps; results are bit-identical either way, so the knob exists
-	// for ablation and for pinning an assignment under study.
+	// DisableRebalance is ignored.
+	//
+	// Deprecated: tile placement is the static two-stage partition for the
+	// whole run (§III-B); there is no rebalancer to disable. The field is
+	// inert and kept only so existing callers compile.
 	DisableRebalance bool
-	// RebalanceRatio overrides the straggler trigger: rebalance when a
-	// server's step cost exceeds ratio × the cluster mean (0 = the 1.3
-	// default).
-	RebalanceRatio float64
 	// CheckpointEvery, when positive, writes a consistent checkpoint of
 	// the vertex state every that-many supersteps, enabling crash
 	// recovery: survivors of a server loss restore from the newest common
 	// checkpoint and replay to bit-identical results. Requires All-in-All
-	// replication and disables the rebalancer for checkpointed jobs.
-	// Per-job override: RunOptions.CheckpointEvery.
+	// replication. Per-job override: RunOptions.CheckpointEvery.
 	CheckpointEvery int
 	// MaxConcurrentJobs, when > 1, makes the session multi-tenant: up to
 	// that many Submits run interleaved over the shared tile stores and
@@ -364,7 +359,7 @@ type Options struct {
 	// cross-job share window); fairness at superstep edges is weighted
 	// round-robin over RunOptions.Weight. Values ≤ 1 keep the classic
 	// serial session. Multi-tenant sessions run without the sweep-ahead
-	// prefetcher and the dynamic rebalancer.
+	// prefetcher.
 	MaxConcurrentJobs int
 	// MaxQueuedJobs bounds how many Submits may wait for admission when
 	// MaxConcurrentJobs jobs are already running; further Submits fail
@@ -422,10 +417,6 @@ func (o Options) engineConfig() (core.Config, error) {
 	if o.DisableBloomSkip {
 		cfg.BloomSkip = false
 	}
-	if o.DisableRebalance {
-		cfg.Rebalance = core.RebalanceOff
-	}
-	cfg.RebalanceRatio = o.RebalanceRatio
 	cfg.CheckpointEvery = o.CheckpointEvery
 	cfg.MaxConcurrentJobs = o.MaxConcurrentJobs
 	cfg.MaxQueuedJobs = o.MaxQueuedJobs
@@ -502,9 +493,9 @@ func Open(p *Partitioned, opts Options) (*Session, error) {
 }
 
 // Submit runs one program against the session's warm cluster. Tiles are
-// not re-partitioned or re-persisted; the edge cache and any rebalanced
-// tile placement carry over from the previous job, while vertex values,
-// halt votes, statistics and send queues start fresh.
+// not re-partitioned or re-persisted; the edge cache carries over from the
+// previous job, while vertex values, halt votes, statistics and send queues
+// start fresh.
 //
 // Cancelling ctx aborts the job at the next superstep edge: Submit returns
 // ctx.Err() and the session stays usable. A hard engine error kills the

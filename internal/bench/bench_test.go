@@ -23,7 +23,7 @@ func TestRegistryComplete(t *testing.T) {
 		"f1a", "f1b", "f6a", "f6b", "f7", "f7b",
 		"f8a", "f8b", "f8c", "f8d", "f9", "f10",
 		"a1", "a2", "a3", "a4", "a5",
-		"skew", "ooc", "multijob",
+		"ooc", "multijob",
 	}
 	all := All()
 	byID := map[string]bool{}

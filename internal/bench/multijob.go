@@ -40,7 +40,6 @@ func runMultiJob(c *Context, w io.Writer) error {
 	cfg.CacheAuto = false
 	cfg.CacheCapacity = -1 // no edge cache: every sweep re-reads its tiles
 	cfg.PrefetchDepth = -1 // demand reads in both modes (multi disables sweep-ahead)
-	cfg.Rebalance = core.RebalanceOff
 	cfg.Disk = disk.Config{
 		ReadBandwidth:  310 << 20, // the paper's testbed RAID5 reads
 		WriteBandwidth: 310 << 20,

@@ -67,7 +67,6 @@ func runOutOfCore(c *Context, w io.Writer) error {
 		cfg.CacheMode = compress.None // budget maps 1:1 onto tile bytes
 		cfg.CacheCapacity = int64(float64(workingSet) * budget / 100)
 		cfg.PrefetchDepth = prefetch
-		cfg.Rebalance = core.RebalanceOff // pin the sweep order across runs
 		cfg.Disk = disk.Config{
 			ReadBandwidth:  310 << 20, // the paper's testbed RAID5 reads
 			WriteBandwidth: 310 << 20,

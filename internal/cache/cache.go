@@ -290,7 +290,7 @@ func (c *Cache) AdvanceEpoch() {
 
 // Remove drops the entry with the given id, reporting whether it was
 // present. Freed capacity un-settles earlier admission declines, so callers
-// whose tile assignment changes (rebalance, shard handoff) can evict the
+// whose tile assignment changes (recovery's tile adoption) can evict the
 // departed tiles and have the cache re-admit the remaining workload.
 func (c *Cache) Remove(id int) bool {
 	c.mu.Lock()

@@ -240,6 +240,12 @@ type Cluster struct {
 	msgsS []atomic.Int64
 	msgsR []atomic.Int64
 
+	// recvBusy[i] counts node i's receives in progress on the stall-aware
+	// path (RecvStreamWhile). The main barrier's failure detector never
+	// accuses such a node: it is live, and its own stall timer accuses
+	// whichever peer it is waiting for.
+	recvBusy []atomic.Int32
+
 	// Pipelined-sender counters, indexed by node.
 	stalls   []atomic.Int64
 	queueHi  []atomic.Int64
@@ -290,6 +296,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
 		bar:      newReusableBarrier(cfg.NumNodes),
+		recvBusy: make([]atomic.Int32, cfg.NumNodes),
 		sent:     make([]atomic.Int64, cfg.NumNodes),
 		recvd:    make([]atomic.Int64, cfg.NumNodes),
 		msgsS:    make([]atomic.Int64, cfg.NumNodes),
@@ -306,6 +313,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range c.alive {
 		c.alive[i].Store(true)
 	}
+	c.bar.receiving = c.recvBusy
 	c.aliveCnt.Store(int32(cfg.NumNodes))
 	c.epochCh.Store(make(chan struct{}))
 	var err error
@@ -645,9 +653,13 @@ func (n *Node) RecvStream(count int, fn func(from int, payload []byte) error) er
 // failure-detection timeout armed between messages: when FailureTimeout is
 // positive and no message arrives for that long, the stream stops with
 // ErrRecvStall and the caller — who knows which peers still owe traffic —
-// decides whom to accuse. Payload buffers are recycled after each callback
-// (fn must not retain them). A nil ctx blocks without cancellation.
+// decides whom to accuse. While the stream runs, the main barrier's failure
+// detector does not suspect this node. Payload buffers are recycled after
+// each callback (fn must not retain them). A nil ctx blocks without
+// cancellation.
 func (n *Node) RecvStreamWhile(ctx context.Context, fn func(from int, payload []byte) (done bool, err error)) error {
+	n.c.recvBusy[n.id].Add(1)
+	defer n.c.recvBusy[n.id].Add(-1)
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
@@ -928,7 +940,7 @@ func (c *Cluster) Abort() { c.abort() }
 // bump resets the filling generation (every waiter unwinds with
 // ErrMembershipChanged), and an optional timeout turns the barrier into a
 // failure detector — the lowest-ranked arrived member accuses whoever
-// never showed up.
+// never showed up and is not live in a counted receive.
 type reusableBarrier struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -940,6 +952,11 @@ type reusableBarrier struct {
 
 	alive   []bool
 	arrived []bool
+	// receiving, when set (the main barrier only), is the cluster's
+	// per-node count of receives in progress: a rank with one is never a
+	// suspect. Per-job barriers leave it nil; their runners receive
+	// through the frame router, not on their own.
+	receiving []atomic.Int32
 
 	// pending ORs the flags of the generation currently filling; decision is
 	// the result of the last completed generation. A late waiter of
@@ -970,6 +987,9 @@ func newReusableBarrier(n int) *reusableBarrier {
 // the lowest-ranked arrived live member returns the non-arrived live members
 // as suspects with ErrRecvStall (the caller deposes them, which resets the
 // generation before it re-enters), everyone else re-arms and keeps waiting.
+// A member live in a counted receive is not a suspect: a survivor still
+// waiting for a hung peer's batch is not the culprit, and its own stall
+// timer accuses the peer that owes it.
 func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time.Duration) (decision bool, suspects []int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -1037,7 +1057,7 @@ func (b *reusableBarrier) waitVote(id int, flag bool, acked uint64, timeout time
 		}
 		if accuser == id {
 			for r, live := range b.alive {
-				if live && !b.arrived[r] {
+				if live && !b.arrived[r] && (b.receiving == nil || b.receiving[r].Load() == 0) {
 					suspects = append(suspects, r)
 				}
 			}

@@ -338,3 +338,50 @@ func waitArrived(t *testing.T, b *reusableBarrier, rank int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestBarrierSparesLiveReceiver: a rank still inside a counted receive is
+// not a barrier suspect. Rank 0 waits at the barrier first; rank 2 then
+// enters a receive that silent rank 1 owes. When rank 0's barrier timeout
+// fires first, it must accuse rank 1 alone — rank 2 is live, and its own
+// stall timer names the peer it waits for. Only rank 1 may end up dead.
+func TestBarrierSparesLiveReceiver(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	c, err := New(Config{NumNodes: 3, FailureTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	barrier := make(chan error, 1)
+	go func() {
+		_, err := c.Node(0).BarrierVoteErr(false)
+		barrier <- err
+	}()
+	waitArrived(t, c.bar, 0)
+	// Rank 0's barrier timer is armed; start rank 2's receive well after it,
+	// so rank 0's timeout is the first detector to fire.
+	time.Sleep(timeout / 2)
+	err = c.Node(2).RecvStreamWhile(nil, func(int, []byte) (bool, error) {
+		return false, errors.New("nobody sends")
+	})
+	switch {
+	case errors.Is(err, ErrRecvStall):
+		// Rank 2's own detector fired: it accuses the peer that owes it.
+		c.Node(2).DeclareDead(1)
+	case errors.Is(err, ErrMembershipChanged):
+		// Rank 0's barrier timeout deposed someone; the check below says who.
+	default:
+		t.Fatalf("rank 2 receive: %v", err)
+	}
+	select {
+	case err := <-barrier:
+		if !errors.Is(err, ErrMembershipChanged) {
+			t.Fatalf("rank 0 barrier: %v, want ErrMembershipChanged", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 0 barrier never unwound")
+	}
+	if !c.Alive(0) || c.Alive(1) || !c.Alive(2) {
+		t.Fatalf("alive = [%v %v %v], want only silent rank 1 dead", c.Alive(0), c.Alive(1), c.Alive(2))
+	}
+}

@@ -21,7 +21,7 @@ import (
 
 // JobFrameMagic is the first byte of every job-enveloped frame. It is
 // distinct from every other top-level frame magic on the wire (comm raw
-// 0xB7, step frames 0xB8, rebalance 0xC1..0xC3, recovery markers 0xC9).
+// 0xB7, step frames 0xB8, recovery markers 0xC9).
 const JobFrameMagic = 0xBA
 
 // JobHeaderSize is the encoded envelope length: magic plus a uint32 job ID.

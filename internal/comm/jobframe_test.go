@@ -52,7 +52,7 @@ func TestJobFrameRejectsMalformed(t *testing.T) {
 	// Every wrong magic — including the other frame magics on the wire — is
 	// rejected, so an unwrapped serial-mode frame can never be mistaken for
 	// a job envelope.
-	for _, magic := range []byte{0x00, 0xB7, 0xB8, 0xC1, 0xC9, 0xCC, 0xFF} {
+	for _, magic := range []byte{0x00, 0xB7, 0xB8, 0xC9, 0xCC, 0xFF} {
 		bad := append([]byte{magic}, valid[1:]...)
 		if _, _, err := DecodeJobFrame(bad); err == nil {
 			t.Fatalf("magic 0x%02X accepted", magic)

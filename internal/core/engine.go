@@ -92,44 +92,16 @@ type Config struct {
 	// tiles' Bloom filters are consulted; above it only the source-range
 	// test can skip a tile. Default 1024.
 	BloomCheckLimit int
-	// Rebalance enables the superstep-boundary tile rebalancer (see
-	// rebalance.go and docs/ARCHITECTURE.md): per-tile compute timings feed
-	// a straggler detector on rank 0, and victim tiles migrate off a slow
-	// server between supersteps. RebalanceOff is the zero value;
-	// DefaultConfig selects RebalanceAuto. Requires a multi-server cluster
-	// and All-in-All replication; silently off otherwise. Results are
-	// bit-identical either way.
-	Rebalance RebalanceMode
-	// RebalanceRatio is the straggler trigger: rebalance when a server's
-	// measured step cost exceeds ratio × the cluster mean. 0 means
-	// costmodel.DefaultStragglerRatio.
-	RebalanceRatio float64
-	// RebalanceMinStep suppresses rebalancing while the straggler's step
-	// cost is below it (short steps are timing noise). 0 means 1ms;
-	// negative means no floor.
-	RebalanceMinStep time.Duration
-	// RebalancePlanHook, when non-nil, replaces the costmodel planner on
-	// the coordinator: it receives every server's per-tile costs and
-	// returns the migration plan verbatim. Deterministic migrations for
-	// tests and experiments.
-	RebalancePlanHook func(step int, costs [][]costmodel.TileCost) []costmodel.Move
-	// Assignment overrides stage-two tile placement (nil = round-robin
-	// tile.Assign) — skewed placements for straggler experiments. It must
-	// pass tile.Assignment.Validate (full coverage, each server's list in
-	// ascending tile order). This is the initial table only: the
-	// rebalancer may move tiles afterwards.
-	Assignment *tile.Assignment
 	// DiskFailureHook, when non-nil, is installed on every server's local
 	// tile store — failure injection for tests (see disk.Store).
 	DiskFailureHook func(server int, op, name string) error
 	// CheckpointEvery, when positive, writes a consistent checkpoint of
 	// the vertex state every that-many supersteps, enabling crash recovery
-	// (see checkpoint.go and recovery.go). Requires All-in-All replication
-	// and disables the dynamic rebalancer for checkpointed jobs (a crash
-	// mid-migration could lose the only copy of a moving tile). Sessions
-	// treat it as the per-job default; JobOptions.CheckpointEvery
-	// overrides it for one Submit. costmodel.CheckpointEverySteps computes
-	// Young's-formula guidance for this knob.
+	// (see checkpoint.go and recovery.go). Requires All-in-All
+	// replication. Sessions treat it as the per-job default;
+	// JobOptions.CheckpointEvery overrides it for one Submit.
+	// costmodel.CheckpointEverySteps computes Young's-formula guidance for
+	// this knob.
 	CheckpointEvery int
 	// MaxConcurrentJobs, when > 1, turns the session multi-tenant: up to
 	// that many Submits run interleaved over the shared tile stores and
@@ -139,10 +111,9 @@ type Config struct {
 	// fairness at step edges is weighted round-robin (JobOptions.Weight).
 	// Values ≤ 1 select the classic serial session; the level is capped at
 	// costmodel.MaxJobSlots. Multi-tenant sessions run without the
-	// sweep-ahead prefetcher and the dynamic rebalancer (both assume one
-	// sweep owns the disk and the ownership table); concurrent jobs instead
-	// share tile reads through the cache's single-flight loads and the
-	// cross-job share window.
+	// sweep-ahead prefetcher (it assumes one sweep owns the disk);
+	// concurrent jobs instead share tile reads through the cache's
+	// single-flight loads and the cross-job share window.
 	MaxConcurrentJobs int
 	// MaxQueuedJobs bounds how many Submits may wait for admission when
 	// MaxConcurrentJobs jobs are already running; further Submits fail fast
@@ -235,7 +206,6 @@ func DefaultConfig(numServers int) Config {
 		CacheAuto:       true,
 		CachePolicyAuto: true,
 		BloomSkip:       true,
-		Rebalance:       RebalanceAuto,
 	}
 }
 
@@ -518,12 +488,6 @@ type server struct {
 	lastStalls    int64
 	quietSteps    int
 
-	// rebal is the dynamic tile rebalancer (nil when off); tilesIn/Out
-	// count migrations this server received/donated during the current job.
-	rebal    *rebalancer
-	tilesIn  int
-	tilesOut int
-
 	// pf is the sweep-ahead tile prefetcher (nil when off); pfDepth its
 	// window; residency the resolved tile-residency tier. All three are
 	// session-lifetime — the prefetcher's reader workers and staged-tile
@@ -534,17 +498,16 @@ type server struct {
 
 	// Fault tolerance. workRoot is the session work directory (recovery
 	// reads dead peers' tile blobs from their subdirectories); baseOwner
-	// and curOwner are this server's copies of the tile→server ownership
-	// tables (base: as if every server were alive; cur: after
-	// reassignment); ownedCnt[p] is how many tiles server p currently
-	// owns — the per-sender expected-batch count of the counted receive
-	// protocol; recvdFrom and seenTiles are per-step receive tallies (a
-	// distinct-tile bitset defeats duplicated frames); faults is the
-	// compiled fault plan; shared.dead marks a killed or fenced server (its
-	// job loop becomes a zombie).
+	// is the session's immutable tile→server ownership table as assigned
+	// at Open, shared by every server and runner (recovery re-deals a dead
+	// server's tiles as a pure function of it); ownedCnt[p] is how many
+	// tiles server p currently owns — the per-sender expected-batch count
+	// of the counted receive protocol; recvdFrom and seenTiles are per-step
+	// receive tallies (a distinct-tile bitset defeats duplicated frames);
+	// faults is the compiled fault plan; shared.dead marks a killed or
+	// fenced server (its job loop becomes a zombie).
 	workRoot  string
 	baseOwner []int
-	curOwner  []int
 	ownedCnt  []int
 	recvdFrom []int
 	seenTiles []uint64
@@ -580,9 +543,9 @@ type server struct {
 }
 
 // runJob executes one submitted program on this server: per-job state is
-// reset (vertex values, halt votes, migration counters, send queues), the
-// superstep loop runs against the warm tile store and cache, and on
-// success the result is collected and the per-server statistics filled.
+// reset (vertex values, halt votes, send queues), the superstep loop runs
+// against the warm tile store and cache, and on success the result is
+// collected and the per-server statistics filled.
 // The returned error is nil for both success and cancellation — a
 // cancelled job leaves the session healthy — and non-nil only for hard
 // errors that abort the whole session.
@@ -655,7 +618,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 	s.msgCodec = jb.codec
 	s.progress = jb.progress
 	s.result = jb.res
-	s.tilesIn, s.tilesOut = 0, 0
 	s.ckptEvery = jb.ckptEvery
 	s.ckptCount, s.ckptBytes = 0, 0
 	s.tilesAdopted, s.recoveries, s.recoveryTime = 0, 0, 0
@@ -690,21 +652,6 @@ func (s *server) runJob(jb *job) (fatal error) {
 				s.sender = nil
 			}
 		}()
-	}
-	// The rebalancer and checkpointing are mutually exclusive per job: a
-	// crash mid-migration could lose the only copy of a moving tile, and
-	// recovery's pure-function tile placement assumes the base ownership
-	// table only changes at rebalance boundaries it can see. The gate is
-	// evaluated from per-job knobs and session-stable membership, so it is
-	// identical on every server. A cluster that has already lost members
-	// also runs without the rebalancer: its stats protocol counts on every
-	// rank reporting.
-	s.rebal = nil
-	if !s.multi && s.ckptEvery == 0 && s.node.AliveCount() == s.node.NumNodes() {
-		// (Multi-tenant sessions never rebalance: concurrent jobs hold
-		// independent ownership views, and a migration under one job would
-		// silently break the others' counted receives.)
-		s.rebal = newRebalancer(s.cfg, s.node.NumNodes())
 	}
 
 	if degradedStart {
@@ -924,11 +871,9 @@ func (s *server) setup() error {
 	s.updBufs = make([][]comm.Update, len(s.metas))
 	s.staged = make([][]comm.Update, s.node.NumNodes())
 
-	// Fault-tolerance bookkeeping: the current ownership table starts as a
-	// copy of the base one (Open built baseOwner from the initial
-	// assignment), the per-sender expected-batch counts derive from it, and
-	// the per-step receive tallies are sized for the cluster and tile count.
-	s.curOwner = append([]int(nil), s.baseOwner...)
+	// Fault-tolerance bookkeeping: the per-sender expected-batch counts
+	// derive from the ownership table, and the per-step receive tallies are
+	// sized for the cluster and tile count.
 	s.ownedCnt = make([]int, s.node.NumNodes())
 	for _, owner := range s.baseOwner {
 		s.ownedCnt[owner]++
@@ -1005,11 +950,10 @@ func (s *server) setup() error {
 	return nil
 }
 
-// superstepLoop is Algorithm 5 lines 5–22, plus the superstep-boundary
-// rebalance phase (rebalance.go) and adaptive send-queue resizing between
-// the BSP barriers. It is re-entrant per session: every per-job quantity —
-// halt votes, the frontier, step stats — lives in locals or in fields runJob
-// reset, while tiles, cache and scratch stay warm.
+// superstepLoop is Algorithm 5 lines 5–22, plus adaptive send-queue
+// resizing between the BSP barriers. It is re-entrant per session: every
+// per-job quantity — halt votes, the frontier, step stats — lives in locals
+// or in fields runJob reset, while tiles, cache and scratch stay warm.
 //
 // Cancellation is decided at the step-end barrier: each server votes its
 // context's state, and the OR of the votes aborts all servers at the same
@@ -1187,13 +1131,12 @@ func (c *stepCrew) stop() {
 }
 
 // runStep executes one superstep: compute over the assigned tiles with the
-// pipelined broadcast of updates, the counted receive of
-// every live peer's batches, the step-end consensus barrier, and the
-// checkpoint and rebalance phases inside the barrier bracket. It returns
-// the step's stats and the global updated count, and leaves the vertices it
-// absorbed in s.frontier for the next step's sweep. A
-// cluster.ErrMembershipChanged return means a peer died mid-step and the
-// caller should run recovery.
+// pipelined broadcast of updates, the counted receive of every live peer's
+// batches, the step-end consensus barrier, and the checkpoint phase inside
+// the barrier bracket. It returns the step's stats and the global updated
+// count, and leaves the vertices it absorbed in s.frontier for the next
+// step's sweep. A cluster.ErrMembershipChanged return means a peer died
+// mid-step and the caller should run recovery.
 func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal int, err error) {
 	n := s.node
 	st = StepStats{Superstep: step}
@@ -1347,31 +1290,16 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 			return st, 0, fmt.Errorf("core: server %d: checkpoint barrier: %w", n.ID(), cluster.ErrClosed)
 		}
 	}
-
-	if updatedTotal != 0 && step+1 < s.maxSteps && s.rebal != nil {
-		// Rebalance phase, only when a next superstep will actually run
-		// (migrating after the last budgeted step would ship tiles no
-		// one processes). The gate (rebal non-nil, the step budget, and
-		// updatedTotal — which is identical on every server) is
-		// evaluated identically everywhere, so either all servers enter
-		// the phase or none do.
-		if err := s.rebalanceStep(step, &st); err != nil {
-			return st, 0, err
-		}
-		// Second barrier: no server starts the next superstep (and its
-		// update traffic) while tiles are still moving.
-		n.Barrier()
-	}
 	return st, updatedTotal, nil
 }
 
 // Update batches travel framed as [stepFrameMagic][step mod 256][comm
-// payload]. The magic (distinct from comm's raw 0xB7, rebalance's
-// 0xC1–0xC3 and the recovery marker's 0xC9) classifies the frame; the step
-// byte pins it to its superstep, so stale traffic is discarded instead of
-// absorbed with wrong-step values. Stale frames arise two ways: a
-// duplicated frame (scripted WireDuplicate) riding its FIFO link right
-// behind the original can cross one step boundary, and a crashed server's
+// payload]. The magic (distinct from comm's raw 0xB7 and the recovery
+// marker's 0xC9) classifies the frame; the step byte pins it to its
+// superstep, so stale traffic is discarded instead of absorbed with
+// wrong-step values. Stale frames arise two ways: a duplicated frame
+// (scripted WireDuplicate) riding its FIFO link right behind the original
+// can cross one step boundary, and a crashed server's
 // in-flight frames for the interrupted step can outlive recovery (nothing
 // forces their drain — the dead server sends no recovery marker). The step
 // byte disambiguates both as long as a replayed step is never 256 steps
@@ -1506,13 +1434,10 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 	return t, err
 }
 
-// tileOut is the outcome of processing one tile in one superstep. nanos is
-// the tile's measured wall-clock cost (load + gather + apply + encode +
-// enqueue) — the signal the rebalancer's straggler detector consumes.
+// tileOut is the outcome of processing one tile in one superstep.
 type tileOut struct {
 	updates  []comm.Update
 	enc      comm.Encoding
-	nanos    int64
 	gathered int64 // in-edges folded through Gather
 	skipped  bool
 	err      error
@@ -1629,8 +1554,6 @@ func (s *server) decodeBatch(from int, msg []byte) error {
 // read buffer and the wire buffer — is reused across supersteps, so in
 // steady state this path allocates nothing.
 func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScratch) (out tileOut) {
-	start := time.Now()
-	defer func() { out.nanos = time.Since(start).Nanoseconds() }()
 	meta := s.metas[k]
 	skip := s.frontier.idle(meta)
 	updates := s.updBufs[k][:0]
@@ -1912,8 +1835,6 @@ func (s *server) fillServerStats() {
 	if s.pf != nil {
 		st.PrefetchIssued, st.PrefetchHits, st.PrefetchWasted = s.pf.statsSnapshot()
 	}
-	st.TilesMigratedIn = s.tilesIn
-	st.TilesMigratedOut = s.tilesOut
 	st.SendQueueCap = s.queueCap
 	m := s.node.Metrics()
 	st.BytesSent = m.BytesSent
@@ -1951,7 +1872,7 @@ func (s *server) jobRunner(jb *job) *server {
 		bloomBytes: s.bloomBytes,
 		residency:  s.residency,
 		workRoot:   s.workRoot,
-		baseOwner:  s.baseOwner, // read-only without the rebalancer
+		baseOwner:  s.baseOwner,
 		faults:     s.faults,
 		shared:     s.shared,
 		multi:      true,
@@ -1967,9 +1888,8 @@ func (s *server) jobRunner(jb *job) *server {
 	r.outs = make([]tileOut, len(r.metas))
 	r.updBufs = make([][]comm.Update, len(r.metas))
 	r.staged = make([][]comm.Update, r.node.NumNodes())
-	r.curOwner = append([]int(nil), s.baseOwner...)
 	r.ownedCnt = make([]int, r.node.NumNodes())
-	for _, owner := range r.curOwner {
+	for _, owner := range r.baseOwner {
 		r.ownedCnt[owner]++
 	}
 	r.recvdFrom = make([]int, r.node.NumNodes())
@@ -2010,13 +1930,8 @@ func mergeSteps(res *Result, byServer [][]StepStats) {
 			dst.SkippedTiles += st.SkippedTiles
 			dst.LoadedTiles += st.LoadedTiles
 			dst.GatheredEdges += st.GatheredEdges
-			dst.MigratedTiles += st.MigratedTiles // donor-side: one count per move
-			dst.MigrationBytes += st.MigrationBytes
 			if st.Duration > dst.Duration {
 				dst.Duration = st.Duration
-			}
-			if st.Rebalance > dst.Rebalance {
-				dst.Rebalance = st.Rebalance
 			}
 			if st.Checkpoint > dst.Checkpoint {
 				dst.Checkpoint = st.Checkpoint

@@ -39,10 +39,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/csr"
 	"repro/internal/disk"
 	"repro/internal/tile"
 )
@@ -53,8 +55,8 @@ import (
 var errServerKilled = errors.New("core: this server was killed")
 
 // markerMagic is the first byte of a recovery marker; disjoint from comm
-// (0xB7) and rebalance (0xC1–0xC3) payloads so step receive loops can
-// discard stray duplicated markers by inspection.
+// (0xB7) and step-frame (0xB8) payloads so step receive loops can discard
+// stray duplicated markers by inspection.
 const markerMagic = 0xC9
 
 // markerSize is magic + epoch (u64) + newest checkpoint step (i64).
@@ -308,7 +310,6 @@ func (s *server) reconcileTiles(alive []bool) error {
 		}
 		s.tilesAdopted++
 	}
-	s.curOwner = cur
 	for p := range s.ownedCnt {
 		s.ownedCnt[p] = 0
 	}
@@ -333,4 +334,76 @@ func (s *server) readDeadTile(owner, t int) ([]byte, error) {
 		return nil, fmt.Errorf("core: server %d adopting tile %d from dead server %d: %w", s.node.ID(), t, owner, err)
 	}
 	return body, nil
+}
+
+// metaIndex returns the index of tile id in s.metas, or -1.
+func (s *server) metaIndex(id int) int {
+	k := sort.Search(len(s.metas), func(i int) bool { return s.metas[i].id >= id })
+	if k < len(s.metas) && s.metas[k].id == id {
+		return k
+	}
+	return -1
+}
+
+// dropTile removes the tile at meta index k from this server: the cache
+// entry is evicted (freed capacity un-settles earlier admission declines,
+// so the remaining workload re-admits), the local blob is deleted, and the
+// per-tile scratch shrinks with the assignment table.
+func (s *server) dropTile(k int) error {
+	meta := s.metas[k]
+	s.cache.Remove(meta.id)
+	if !s.multi {
+		// Multi-tenant runners keep the blob: the drop only narrows this
+		// job's private ownership view, and a concurrent job (or a later
+		// recovery pass) may still read the tile from the shared store.
+		if err := s.store.Remove(meta.blob); err != nil {
+			return fmt.Errorf("core: server %d dropping reassigned tile %d: %w", s.node.ID(), meta.id, err)
+		}
+	}
+	if meta.filter != nil {
+		s.bloomBytes -= int64(meta.filter.SizeBytes())
+	}
+	s.metas = append(s.metas[:k], s.metas[k+1:]...)
+	s.updBufs = append(s.updBufs[:k], s.updBufs[k+1:]...)
+	s.outs = s.outs[:len(s.metas)]
+	return nil
+}
+
+// admitTile installs an adopted tile on this server: the blob is persisted
+// to the local store and the tile metadata (target and source ranges, Bloom
+// filter, size) is rebuilt from a validating decode, mirroring setup's
+// ingest. The edge cache is not force-fed — the first access after adoption
+// admits the tile through the ordinary GetOrLoadInto path, under whatever
+// policy and capacity pressure the cache is running.
+func (s *server) admitTile(id int, body []byte) error {
+	if s.metaIndex(id) >= 0 {
+		return fmt.Errorf("core: server %d adopting tile %d it already owns", s.node.ID(), id)
+	}
+	// Decode (and thereby validate) before persisting: a corrupt payload
+	// must never land in the local store.
+	var tl csr.Tile
+	if err := csr.DecodeInto(&tl, body); err != nil {
+		return fmt.Errorf("core: server %d decoding adopted tile %d: %w", s.node.ID(), id, err)
+	}
+	if int(tl.ID) != id {
+		return fmt.Errorf("core: server %d: adopted blob says tile %d, owner table says %d", s.node.ID(), tl.ID, id)
+	}
+	// Atomic replace: in a multi-tenant session a sibling job's runner may be
+	// reading this very blob name (loadTile runs outside recoverMu), and a
+	// truncate-then-write would hand it a short or empty file.
+	if err := s.store.Write(tileBlobName(id), body); err != nil {
+		return fmt.Errorf("core: server %d persisting adopted tile %d: %w", s.node.ID(), id, err)
+	}
+	meta := s.newTileMeta(id, &tl, len(body))
+	k := sort.Search(len(s.metas), func(i int) bool { return s.metas[i].id >= id })
+	s.metas = append(s.metas, nil)
+	copy(s.metas[k+1:], s.metas[k:])
+	s.metas[k] = meta
+	s.updBufs = append(s.updBufs, nil)
+	copy(s.updBufs[k+1:], s.updBufs[k:])
+	s.updBufs[k] = nil
+	// outs is per-step scratch with no cross-step contents; keeping its
+	// length in lockstep with metas is all that matters.
+	s.outs = append(s.outs, tileOut{})
+	return nil
 }

@@ -166,7 +166,6 @@ func TestSelectiveGridSSSP(t *testing.T) {
 		cfg := DefaultConfig(4)
 		cfg.WorkersPerServer = 1
 		cfg.WorkDir = t.TempDir()
-		cfg.Rebalance = RebalanceOff
 		cfg.MaxSupersteps = 4 * 200 * 200
 		cfg.BloomSkip = skip
 		res, err := New(cfg).Run(Input{Partition: p}, apps.SSSP{Source: 0})

@@ -211,19 +211,9 @@ func Open(in Input, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	assign := cfg.Assignment
-	if assign == nil {
-		assign, err = tile.Assign(numTiles, cfg.NumServers)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if assign.NumServers != cfg.NumServers {
-			return nil, fmt.Errorf("core: assignment is for %d servers, cluster has %d", assign.NumServers, cfg.NumServers)
-		}
-		if err := assign.Validate(numTiles); err != nil {
-			return nil, err
-		}
+	assign, err := tile.Assign(numTiles, cfg.NumServers)
+	if err != nil {
+		return nil, err
 	}
 
 	workDir := cfg.WorkDir
@@ -260,9 +250,9 @@ func Open(in Input, cfg Config) (*Session, error) {
 		cl.SetWireHook(wh)
 	}
 
-	// The base tile→server ownership table, as assigned. Recovery's pure
+	// The tile→server ownership table, as assigned. Recovery's pure
 	// reassignment function and the counted receive protocol both read it;
-	// each server gets a private copy because the rebalancer mutates it.
+	// it never changes, so every server shares this one copy.
 	owner := make([]int, numTiles)
 	for j, tiles := range assign.TilesOf {
 		for _, t := range tiles {
@@ -333,7 +323,7 @@ func Open(in Input, cfg Config) (*Session, error) {
 				total:     numTiles,
 				work:      filepath.Join(workDir, fmt.Sprintf("server-%d", n.ID())),
 				workRoot:  workDir,
-				baseOwner: append([]int(nil), owner...),
+				baseOwner: owner,
 				faults:    faults,
 				shared:    se.shared[n.ID()],
 			}
@@ -435,10 +425,8 @@ func Open(in Input, cfg Config) (*Session, error) {
 
 // Submit runs one program over the session's warm cluster and returns its
 // result. Tiles are not re-partitioned or re-persisted: the job reuses the
-// local stores and edge caches exactly as the previous job left them (tile
-// placement included — the rebalancer's migrations carry over), while
-// vertex values, halt votes, per-job statistics and send queues start
-// fresh.
+// local stores and edge caches exactly as the previous job left them, while
+// vertex values, halt votes, per-job statistics and send queues start fresh.
 //
 // Cancelling ctx aborts the job at the next superstep edge: Submit returns
 // ctx.Err() and the session remains usable for further Submits. A hard

@@ -35,16 +35,17 @@ type StepStats struct {
 	// of every loaded tile on a dense step, only the in-edges of targets
 	// with an updated in-neighbour on a sparse one.
 	GatheredEdges int64 `json:"gathered_edges"`
-	// MigratedTiles counts tiles the rebalancer moved at this step's
-	// boundary (each move counted once, on the donor); MigrationBytes is
-	// the encoded tile volume those moves shipped.
-	MigratedTiles  int   `json:"migrated_tiles"`
-	MigrationBytes int64 `json:"migration_bytes"`
+	// MigratedTiles is always zero.
+	//
+	// Deprecated: tiles never move between servers mid-run; the field is
+	// inert and kept only so existing readers compile.
+	MigratedTiles int `json:"migrated_tiles"`
 	// Duration is the wall-clock time of the step (max over servers).
 	Duration time.Duration `json:"duration_ns"`
-	// Rebalance is the wall-clock time of the rebalance phase at this
-	// step's boundary (max over servers; zero when the rebalancer is off
-	// or the step converged).
+	// Rebalance is always zero.
+	//
+	// Deprecated: there is no rebalance phase; the field is inert and kept
+	// only so existing readers compile.
 	Rebalance time.Duration `json:"rebalance_ns"`
 	// Checkpoint is the wall-clock time of the checkpoint phase at this
 	// step's boundary (max over servers; zero on non-checkpoint steps).
@@ -57,7 +58,7 @@ type StepStats struct {
 // session's later Submits the job's own share is the delta against the
 // previous Result, which is exactly what pins cross-job reuse (a warm job
 // adds cache hits but no tile writes). Gauges (MemoryBytes, VertexSlots,
-// SendQueueCap) and the migration counters are per-job.
+// SendQueueCap) are per-job.
 // The json tags pin the daemon's wire schema: stable lower_snake names,
 // durations as integer nanoseconds, enum fields (cache mode/policy,
 // residency) as their String names.
@@ -104,10 +105,6 @@ type ServerStats struct {
 	// the job — a serial session's adaptive sizing may have moved it from
 	// the initial 32. Zero on single-server runs.
 	SendQueueCap int `json:"send_queue_cap"`
-	// TilesMigratedIn and TilesMigratedOut count tiles the rebalancer moved
-	// onto and off this server mid-run.
-	TilesMigratedIn  int `json:"tiles_migrated_in"`
-	TilesMigratedOut int `json:"tiles_migrated_out"`
 	// Checkpoints counts the checkpoints this server wrote during the job;
 	// CheckpointBytes is their encoded volume.
 	Checkpoints     int   `json:"checkpoints"`

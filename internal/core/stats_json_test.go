@@ -38,7 +38,7 @@ func jsonKeys(t *testing.T, v any) []string {
 func TestStepStatsJSONSchema(t *testing.T) {
 	want := []string{
 		"checkpoint_ns", "dense_msgs", "duration_ns", "gathered_edges",
-		"loaded_tiles", "migrated_tiles", "migration_bytes", "raw_bytes",
+		"loaded_tiles", "migrated_tiles", "raw_bytes",
 		"rebalance_ns", "skipped_tiles", "sparse_msgs", "superstep", "updated", "wire_bytes",
 	}
 	if got := jsonKeys(t, StepStats{}); !reflect.DeepEqual(got, want) {
@@ -53,8 +53,7 @@ func TestServerStatsJSONSchema(t *testing.T) {
 		"memory_bytes", "prefetch_hits", "prefetch_issued", "prefetch_wasted",
 		"recoveries", "recovery_time_ns", "residency", "send_queue_cap",
 		"send_queue_high_water", "send_stalls", "server", "shared_tile_loads",
-		"tiles_adopted", "tiles_migrated_in", "tiles_migrated_out",
-		"vertex_slots",
+		"tiles_adopted", "vertex_slots",
 	}
 	if got := jsonKeys(t, ServerStats{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ServerStats wire schema drifted:\n got %v\nwant %v", got, want)
@@ -82,7 +81,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	step := StepStats{
 		Superstep: 7, Updated: 1234, WireBytes: 1 << 30, RawBytes: 1 << 31,
 		DenseMsgs: 3, SparseMsgs: 4, SkippedTiles: 5, LoadedTiles: 6, GatheredEdges: 1 << 33,
-		MigratedTiles: 2, MigrationBytes: 99, Duration: 250 * time.Millisecond,
+		MigratedTiles: 2, Duration: 250 * time.Millisecond,
 		Rebalance: time.Millisecond, Checkpoint: 3 * time.Microsecond,
 	}
 	raw, err := json.Marshal(step)
@@ -106,8 +105,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		CacheMode: compress.Zlib1, CachePolicy: cache.Clock,
 		Residency: ResidencyStreaming, PrefetchIssued: 14, PrefetchHits: 15,
 		PrefetchWasted: 16, BytesSent: 17, BytesRecv: 18, SendStalls: 19,
-		SendQueueHighWater: 20, SendQueueCap: 21, TilesMigratedIn: 22,
-		TilesMigratedOut: 23, Checkpoints: 24, CheckpointBytes: 25,
+		SendQueueHighWater: 20, SendQueueCap: 21, Checkpoints: 24, CheckpointBytes: 25,
 		TilesAdopted: 26, Recoveries: 27, RecoveryTime: 28 * time.Second,
 		Joins: 29, MembershipEpoch: 30, SharedTileLoads: 31,
 	}

@@ -348,115 +348,6 @@ func PrefetchIODepth(depth, batchSize int) int {
 	return io
 }
 
-// Dynamic tile rebalancing (superstep-boundary straggler relief). A BSP
-// superstep is gated by the slowest server, and a static tile assignment
-// leaves that straggler fixed for the whole run even as the active-vertex
-// frontier shifts per-tile cost. The planner below levels measured per-tile
-// compute costs at superstep boundaries: when one server's step cost
-// exceeds the cluster mean by a configurable ratio, tiles move from that
-// straggler to the least-loaded servers — the skew problem Gemini attacks
-// with dynamic repartitioning and PowerLyra with locality-aware placement.
-
-// DefaultStragglerRatio is the rebalance trigger: a server whose measured
-// step cost exceeds ratio × the cluster mean is a straggler. 1.3 tolerates
-// ordinary timing jitter while still firing on a 2× tile-count skew (whose
-// straggler sits at 1.6× the mean on four servers).
-const DefaultStragglerRatio = 1.3
-
-// TileCost is one tile's measured cost in the last superstep: compute time
-// plus the encoded tile size (the bytes a migration must ship).
-type TileCost struct {
-	ID    int
-	Nanos int64
-	Bytes int64
-}
-
-// Move relocates one tile from server From to server To.
-type Move struct {
-	Tile     int
-	From, To int
-}
-
-// PlanRebalance levels per-server compute cost by moving tiles off the
-// single worst straggler. perServer[s] lists server s's tiles with their
-// measured costs; ratio is the straggler trigger (0 means
-// DefaultStragglerRatio); minNanos suppresses planning entirely when the
-// straggler's cost is below it (steps too short to measure reliably are
-// all noise — moving tiles on noise just ships bytes for nothing).
-//
-// The planner is deliberately single-donor: only the straggler gives up
-// tiles in one invocation, so at most one server ever streams tile payloads
-// per superstep (recipients only receive — no donor/donor send cycles to
-// deadlock, and the next boundary can pick a new straggler). Victims are
-// chosen greedily: each iteration moves the tile that minimizes the
-// donor/recipient pair's makespan, and stops when no move lowers it or the
-// donor is down to its last tile.
-func PlanRebalance(perServer [][]TileCost, ratio float64, minNanos int64) []Move {
-	n := len(perServer)
-	if n < 2 {
-		return nil
-	}
-	if ratio <= 0 {
-		ratio = DefaultStragglerRatio
-	}
-	cost := make([]int64, n)
-	var total int64
-	for s, tiles := range perServer {
-		for _, t := range tiles {
-			cost[s] += t.Nanos
-		}
-		total += cost[s]
-	}
-	donor := 0
-	for s := 1; s < n; s++ {
-		if cost[s] > cost[donor] {
-			donor = s
-		}
-	}
-	mean := float64(total) / float64(n)
-	if cost[donor] < minNanos || float64(cost[donor]) <= ratio*mean {
-		return nil
-	}
-
-	// Work on a copy of the donor's tile list so the greedy loop can shrink
-	// it as tiles are (virtually) handed over.
-	tiles := append([]TileCost(nil), perServer[donor]...)
-	var moves []Move
-	for len(tiles) > 1 {
-		to := donor
-		for s := 0; s < n; s++ {
-			if s != donor && (to == donor || cost[s] < cost[to]) {
-				to = s
-			}
-		}
-		// Pick the victim minimizing the pair makespan max(donor−c, to+c);
-		// ties break toward the smaller encoded tile (ship fewer bytes —
-		// the migration's one-time cost).
-		best, bestSpan := -1, cost[donor]
-		for i, t := range tiles {
-			span := cost[donor] - t.Nanos
-			if r := cost[to] + t.Nanos; r > span {
-				span = r
-			}
-			if span < bestSpan || (best >= 0 && span == bestSpan && t.Bytes < tiles[best].Bytes) {
-				best, bestSpan = i, span
-			}
-		}
-		if best < 0 {
-			break // no move lowers the pair makespan
-		}
-		v := tiles[best]
-		moves = append(moves, Move{Tile: v.ID, From: donor, To: to})
-		cost[donor] -= v.Nanos
-		cost[to] += v.Nanos
-		tiles = append(tiles[:best], tiles[best+1:]...)
-		if float64(cost[donor]) <= ratio*mean {
-			break // donor is no longer a straggler
-		}
-	}
-	return moves
-}
-
 // Adaptive send-queue sizing. The pipelined Sender's per-destination queue
 // depth trades memory against backpressure: too shallow and compute workers
 // stall on enqueue whenever wire time lags, too deep and idle buffers sit

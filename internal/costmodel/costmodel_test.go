@@ -175,94 +175,6 @@ func TestSelectClockPolicy(t *testing.T) {
 	}
 }
 
-// tiles builds n equal-cost TileCost records with sequential ids from base.
-func tiles(base, n int, nanos int64) []TileCost {
-	out := make([]TileCost, n)
-	for i := range out {
-		out[i] = TileCost{ID: base + i, Nanos: nanos, Bytes: 100}
-	}
-	return out
-}
-
-func TestPlanRebalanceBalancedIsNoop(t *testing.T) {
-	per := [][]TileCost{tiles(0, 4, 100), tiles(4, 4, 100), tiles(8, 4, 100)}
-	if moves := PlanRebalance(per, 0, 0); moves != nil {
-		t.Fatalf("balanced cluster planned %v", moves)
-	}
-	if moves := PlanRebalance(per[:1], 0, 0); moves != nil {
-		t.Fatalf("single server planned %v", moves)
-	}
-}
-
-func TestPlanRebalanceLevelsSkew(t *testing.T) {
-	// Server 0 holds 2x the tiles of everyone else: cost 800 vs 400, mean
-	// 500 → 1.6x the mean, over the 1.3 default trigger.
-	per := [][]TileCost{tiles(0, 8, 100), tiles(8, 4, 100), tiles(12, 4, 100), tiles(16, 4, 100)}
-	moves := PlanRebalance(per, 0, 0)
-	if len(moves) == 0 {
-		t.Fatal("2x skew planned no moves")
-	}
-	cost := []int64{800, 400, 400, 400}
-	owned := map[int]int{}
-	for s, ts := range per {
-		for _, c := range ts {
-			owned[c.ID] = s
-		}
-	}
-	for _, m := range moves {
-		if m.From != 0 {
-			t.Fatalf("move %+v from a non-straggler (single-donor invariant)", m)
-		}
-		if owned[m.Tile] != m.From {
-			t.Fatalf("move %+v of a tile owned by %d", m, owned[m.Tile])
-		}
-		owned[m.Tile] = m.To
-		cost[m.From] -= 100
-		cost[m.To] += 100
-	}
-	var max, total int64
-	for _, c := range cost {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if mean := float64(total) / 4; float64(cost[0]) > DefaultStragglerRatio*mean {
-		t.Fatalf("donor still a straggler after plan: %v", cost)
-	}
-	if max >= 800 {
-		t.Fatalf("plan did not lower the makespan: %v", cost)
-	}
-}
-
-func TestPlanRebalanceRespectsFloors(t *testing.T) {
-	per := [][]TileCost{tiles(0, 8, 100), tiles(8, 4, 100)}
-	if moves := PlanRebalance(per, 0, 1_000_000); moves != nil {
-		t.Fatalf("sub-floor step planned %v", moves)
-	}
-	// A donor never gives up its last tile, even under an extreme ratio.
-	per = [][]TileCost{{{ID: 0, Nanos: 1000}}, {{ID: 1, Nanos: 1}}}
-	for _, m := range PlanRebalance(per, 1.01, 0) {
-		if m.From == 0 {
-			t.Fatalf("donor gave up its last tile: %+v", m)
-		}
-	}
-}
-
-func TestPlanRebalanceDeterministic(t *testing.T) {
-	per := [][]TileCost{tiles(0, 9, 90), tiles(9, 3, 110), tiles(12, 3, 100)}
-	a := PlanRebalance(per, 0, 0)
-	b := PlanRebalance(per, 0, 0)
-	if len(a) != len(b) {
-		t.Fatalf("plans differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("plans diverge at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestAdaptQueueCap(t *testing.T) {
 	if got := AdaptQueueCap(32, 5, 32, 0); got != 64 {
 		t.Fatalf("stalls at cap 32 → %d, want 64", got)
@@ -281,22 +193,6 @@ func TestAdaptQueueCap(t *testing.T) {
 	}
 	if got := AdaptQueueCap(64, 0, 10, 1); got != 64 {
 		t.Fatalf("brief quiet shrank the queue: %d", got)
-	}
-}
-
-func TestPlanRebalanceTieBreaksOnBytes(t *testing.T) {
-	// Two victim candidates with identical cost: the planner must ship the
-	// smaller encoded tile.
-	per := [][]TileCost{
-		{{ID: 0, Nanos: 400, Bytes: 999}, {ID: 1, Nanos: 400, Bytes: 10}, {ID: 2, Nanos: 400, Bytes: 999}},
-		{{ID: 3, Nanos: 400, Bytes: 50}},
-	}
-	moves := PlanRebalance(per, 0, 0)
-	if len(moves) == 0 {
-		t.Fatal("3x skew planned no moves")
-	}
-	if moves[0].Tile != 1 {
-		t.Fatalf("first move ships tile %d, want the 10-byte tile 1", moves[0].Tile)
 	}
 }
 

@@ -96,7 +96,7 @@ type Store struct {
 	// a true LRU bounded by Config.MaxCachedFDs: inserting at the cap evicts
 	// the least-recently-read handle, so the hot set always reads through a
 	// cached descriptor regardless of which blobs happened to load first
-	// (migrated-in tiles included).
+	// (adopted tiles included).
 	fdMu  sync.Mutex
 	fds   map[string]*cachedFile
 	fdLRU *list.List // front = most recently read

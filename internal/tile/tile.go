@@ -184,11 +184,8 @@ func buildSplitter(in []uint32, s int) []uint32 {
 	return append(splitter, uint32(len(in)))
 }
 
-// Assignment is the stage-two mapping of tiles onto servers. Round-robin
-// (Assign) is the paper's static placement; AssignProportional builds
-// deliberately skewed placements for straggler experiments, and the engine
-// accepts any valid Assignment as an override — the initial table only, since
-// the dynamic rebalancer may move tiles between servers mid-run.
+// Assignment is the stage-two mapping of tiles onto servers: the paper's
+// static round-robin placement (Assign), fixed for the whole run.
 type Assignment struct {
 	// TilesOf[j] lists the tile indices owned by server j, in order.
 	TilesOf [][]int
@@ -208,74 +205,6 @@ func Assign(numTiles, numServers int) (*Assignment, error) {
 		a.TilesOf[j] = append(a.TilesOf[j], i)
 	}
 	return a, nil
-}
-
-// AssignProportional distributes numTiles tiles so that server j's tile
-// count is proportional to shares[j] — the skewed-placement generator for
-// rebalancing experiments (shares {2,1,1,1} seeds server 0 with twice the
-// fair load). Tiles are handed out in index order by largest remaining
-// deficit, so every server with a positive share gets a contiguous-ish,
-// deterministic slice and all tiles are assigned exactly once.
-func AssignProportional(numTiles int, shares []float64) (*Assignment, error) {
-	n := len(shares)
-	if n < 1 {
-		return nil, fmt.Errorf("tile: need at least one share")
-	}
-	var total float64
-	for j, s := range shares {
-		if s < 0 {
-			return nil, fmt.Errorf("tile: negative share %g for server %d", s, j)
-		}
-		total += s
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("tile: all shares zero")
-	}
-	a := &Assignment{TilesOf: make([][]int, n), NumServers: n}
-	for i := 0; i < numTiles; i++ {
-		// Largest remaining deficit: target share × tiles-so-far minus the
-		// tiles already held.
-		best, bestDef := 0, -1.0
-		for j := 0; j < n; j++ {
-			def := shares[j]/total*float64(i+1) - float64(len(a.TilesOf[j]))
-			if def > bestDef {
-				best, bestDef = j, def
-			}
-		}
-		a.TilesOf[best] = append(a.TilesOf[best], i)
-	}
-	return a, nil
-}
-
-// Validate checks the assignment covers tiles [0, numTiles) exactly once,
-// with each server's list in ascending tile order — the engine keeps its
-// per-server tile metadata sorted by id (binary-searched by the
-// rebalancer), and it ingests tiles in list order.
-func (a *Assignment) Validate(numTiles int) error {
-	if a.NumServers != len(a.TilesOf) {
-		return fmt.Errorf("tile: assignment says %d servers but has %d lists", a.NumServers, len(a.TilesOf))
-	}
-	seen := make([]bool, numTiles)
-	count := 0
-	for j, tiles := range a.TilesOf {
-		for k, i := range tiles {
-			if i < 0 || i >= numTiles {
-				return fmt.Errorf("tile: server %d assigned out-of-range tile %d (have %d)", j, i, numTiles)
-			}
-			if k > 0 && tiles[k-1] >= i {
-				return fmt.Errorf("tile: server %d's tiles not in ascending order (%d before %d)", j, tiles[k-1], i)
-			}
-			if seen[i] {
-				return fmt.Errorf("tile: tile %d assigned twice", i)
-			}
-			seen[i] = true
-			count++
-		}
-	}
-	if count != numTiles {
-		return fmt.Errorf("tile: %d of %d tiles assigned", count, numTiles)
-	}
-	return nil
 }
 
 // ReassignDead maps each tile to a live server given the tile→server base

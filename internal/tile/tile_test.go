@@ -303,79 +303,3 @@ func TestPropertySplitterCoversAllVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAssignProportional(t *testing.T) {
-	a, err := AssignProportional(16, []float64{2, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(16); err != nil {
-		t.Fatal(err)
-	}
-	if n0 := len(a.TilesOf[0]); n0 != 8 {
-		t.Fatalf("share-2 server got %d of 16 tiles, want 8", n0)
-	}
-	for j := 1; j < 3; j++ {
-		if n := len(a.TilesOf[j]); n != 4 {
-			t.Fatalf("share-1 server %d got %d tiles, want 4", j, n)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		if s := a.ServerOf(i); s < 0 || s > 2 {
-			t.Fatalf("ServerOf(%d) = %d", i, s)
-		}
-	}
-	// Degenerate and invalid shares.
-	if _, err := AssignProportional(4, nil); err == nil {
-		t.Fatal("empty shares accepted")
-	}
-	if _, err := AssignProportional(4, []float64{0, 0}); err == nil {
-		t.Fatal("all-zero shares accepted")
-	}
-	if _, err := AssignProportional(4, []float64{1, -1}); err == nil {
-		t.Fatal("negative share accepted")
-	}
-	// A zero-share server simply receives nothing.
-	a, err = AssignProportional(6, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.TilesOf[1]) != 0 || len(a.TilesOf[0]) != 6 {
-		t.Fatalf("zero share got tiles: %v", a.TilesOf)
-	}
-}
-
-func TestAssignmentValidate(t *testing.T) {
-	good, err := Assign(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := good.Validate(10); err != nil {
-		t.Fatal(err)
-	}
-	dup := &Assignment{NumServers: 2, TilesOf: [][]int{{0, 1}, {1}}}
-	if err := dup.Validate(2); err == nil {
-		t.Fatal("duplicate tile accepted")
-	}
-	missing := &Assignment{NumServers: 2, TilesOf: [][]int{{0}, {}}}
-	if err := missing.Validate(2); err == nil {
-		t.Fatal("missing tile accepted")
-	}
-	oob := &Assignment{NumServers: 1, TilesOf: [][]int{{0, 5}}}
-	if err := oob.Validate(2); err == nil {
-		t.Fatal("out-of-range tile accepted")
-	}
-	mismatch := &Assignment{NumServers: 3, TilesOf: [][]int{{0}, {1}}}
-	if err := mismatch.Validate(2); err == nil {
-		t.Fatal("server-count mismatch accepted")
-	}
-}
-
-func TestAssignmentValidateRejectsUnsorted(t *testing.T) {
-	// The engine's rebalancer binary-searches per-server metadata sorted by
-	// tile id, so unsorted lists must be rejected up front.
-	unsorted := &Assignment{NumServers: 2, TilesOf: [][]int{{2, 0}, {1}}}
-	if err := unsorted.Validate(3); err == nil {
-		t.Fatal("unsorted per-server tile list accepted")
-	}
-}

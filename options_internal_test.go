@@ -38,8 +38,6 @@ func TestEngineConfigMapsEveryKnob(t *testing.T) {
 		MessageCodec:        &snappy,
 		OnDemandReplication: true,
 		DisableBloomSkip:    true,
-		DisableRebalance:    true,
-		RebalanceRatio:      1.7,
 		CheckpointEvery:     4,
 		FailureTimeout:      1500 * time.Millisecond,
 		Faults:              plan,
@@ -71,8 +69,6 @@ func TestEngineConfigMapsEveryKnob(t *testing.T) {
 		{"MsgCodec", cfg.MsgCodec, compress.Snappy},
 		{"Replication", cfg.Replication, core.OnDemand},
 		{"BloomSkip", cfg.BloomSkip, false},
-		{"Rebalance", cfg.Rebalance, core.RebalanceOff},
-		{"RebalanceRatio", cfg.RebalanceRatio, 1.7},
 		{"CheckpointEvery", cfg.CheckpointEvery, 4},
 		{"FailureTimeout", cfg.FailureTimeout, 1500 * time.Millisecond},
 		{"Faults", cfg.Faults, plan},
@@ -107,9 +103,6 @@ func TestEngineConfigAutoSelectDefaults(t *testing.T) {
 	}
 	if !cfg.BloomSkip {
 		t.Error("Bloom tile skipping must default on")
-	}
-	if cfg.Rebalance != core.RebalanceAuto {
-		t.Errorf("rebalancing must default to auto, got %v", cfg.Rebalance)
 	}
 	if cfg.PrefetchDepth != 0 {
 		t.Errorf("prefetch depth must default to automatic sizing, got %d", cfg.PrefetchDepth)
