@@ -147,5 +147,6 @@ fuzz-ci:
 	$(GO) test ./internal/csr/ -run xxx -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/comm/ -run xxx -fuzz FuzzDecodeInto -fuzztime 10s
 	$(GO) test ./internal/comm/ -run xxx -fuzz FuzzDecodeJobFrame -fuzztime 10s
+	$(GO) test ./internal/core/ -run xxx -fuzz FuzzDecodeEndHeader -fuzztime 10s
 	$(GO) test ./internal/disk/ -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 10s
 	$(GO) test ./api/ -run xxx -fuzz FuzzDecodeJobRequest -fuzztime 10s

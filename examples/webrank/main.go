@@ -48,12 +48,12 @@ func main() {
 	}
 
 	fmt.Println("\nper-superstep behaviour (hybrid communication, §IV-C):")
-	fmt.Println("step  updated  wireMB  dense/sparse  skipped")
+	fmt.Println("step  updated  wireMB  tile/end frames  skipped")
 	for _, st := range res.Steps {
 		if st.Superstep%4 != 0 && st.Superstep != res.Supersteps-1 {
 			continue
 		}
-		fmt.Printf("%4d  %7d  %6.2f  %5d/%-6d  %7d\n",
+		fmt.Printf("%4d  %7d  %6.2f  %7d/%-7d  %7d\n",
 			st.Superstep, st.Updated, float64(st.WireBytes)/1e6,
 			st.DenseMsgs, st.SparseMsgs, st.SkippedTiles)
 	}

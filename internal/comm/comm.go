@@ -108,6 +108,27 @@ type Encoding struct {
 	WireBytes int
 }
 
+// Mode returns the wire representation AppendEncode picks for b: the
+// hybrid mode's sparsity rule under Auto, the forced choice otherwise.
+func (o Options) Mode(b *Batch) (WireMode, error) {
+	switch o.Choice {
+	case Auto:
+		threshold := o.SparsityThreshold
+		if threshold <= 0 {
+			threshold = DefaultSparsityThreshold
+		}
+		if b.SparsityRatio() > threshold {
+			return SparseMode, nil
+		}
+		return DenseMode, nil
+	case ForceDense:
+		return DenseMode, nil
+	case ForceSparse:
+		return SparseMode, nil
+	}
+	return 0, fmt.Errorf("comm: unknown mode choice %d", int(o.Choice))
+}
+
 const headerSize = 1 + 1 + 4 + 4 + 4 + 4 + 4 + 4
 
 // Header layout (little endian):
@@ -139,22 +160,9 @@ func AppendEncode(dst []byte, b *Batch, opts Options) ([]byte, Encoding, error) 
 	if err := validateBatch(b); err != nil {
 		return nil, Encoding{}, err
 	}
-	threshold := opts.SparsityThreshold
-	if threshold <= 0 {
-		threshold = DefaultSparsityThreshold
-	}
-	mode := DenseMode
-	switch opts.Choice {
-	case Auto:
-		if b.SparsityRatio() > threshold {
-			mode = SparseMode
-		}
-	case ForceDense:
-		mode = DenseMode
-	case ForceSparse:
-		mode = SparseMode
-	default:
-		return nil, Encoding{}, fmt.Errorf("comm: unknown mode choice %d", int(opts.Choice))
+	mode, err := opts.Mode(b)
+	if err != nil {
+		return nil, Encoding{}, err
 	}
 	if !opts.Codec.Valid() {
 		return nil, Encoding{}, fmt.Errorf("comm: invalid codec %d", int(opts.Codec))
@@ -175,7 +183,7 @@ func AppendEncode(dst []byte, b *Batch, opts Options) ([]byte, Encoding, error) 
 	dst = slices.Grow(dst, headerSize+len(body))
 	var hdr [headerSize]byte
 	dst = append(dst, hdr[:]...)
-	dst, err := opts.Codec.AppendCompress(dst, body)
+	dst, err = opts.Codec.AppendCompress(dst, body)
 	bodyPool.Put(scratch)
 	if err != nil {
 		return nil, Encoding{}, fmt.Errorf("comm: compressing body: %w", err)

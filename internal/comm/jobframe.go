@@ -7,8 +7,8 @@ import (
 
 // Job-ID envelope (multi-tenant sessions). When a session interleaves more
 // than one job over a single cluster inbox, every per-job frame — step-tagged
-// update batches, recovery markers, collect batches — is prefixed with a
-// five-byte envelope naming the job it belongs to:
+// tile batches, end-of-step frames, recovery markers, collect batches — is
+// prefixed with a five-byte envelope naming the job it belongs to:
 //
 //	[0xBA][job ID, uint32 LE][inner frame ...]
 //
@@ -21,7 +21,8 @@ import (
 
 // JobFrameMagic is the first byte of every job-enveloped frame. It is
 // distinct from every other top-level frame magic on the wire (comm raw
-// 0xB7, step frames 0xB8, recovery markers 0xC9).
+// 0xB7, tile step frames 0xB8, end-of-step frames 0xBE, recovery markers
+// 0xC9).
 const JobFrameMagic = 0xBA
 
 // JobHeaderSize is the encoded envelope length: magic plus a uint32 job ID.

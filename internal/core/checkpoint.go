@@ -23,8 +23,9 @@ import (
 )
 
 // ckptMagic is the first byte of a checkpoint blob; disjoint from the comm
-// (0xB7), step-frame (0xB8) and recovery-marker (0xC9) kinds so a blob can
-// never be confused with a wire payload.
+// (0xB7), tile step-frame (0xB8), job-envelope (0xBA), end-of-step (0xBE)
+// and recovery-marker (0xC9) kinds so a blob can never be confused with a
+// wire payload.
 const ckptMagic = 0xCC
 
 // ckptHeaderSize is magic + superstep (u32) + value count (u32) + body CRC.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -467,11 +468,13 @@ type server struct {
 	// Steady-state scratch, sized once in setup so the superstep loop
 	// allocates O(changed vertices), not O(edges):
 	// one workerScratch per worker, one update buffer and outcome slot per
-	// tile, one reused batch for decoding received broadcasts, and one
-	// staging slice per peer for updates received mid-compute.
+	// tile, the batch the end-of-step frame merges the deferred tiles into,
+	// one reused batch for decoding received broadcasts, and one staging
+	// slice per peer for updates received mid-compute.
 	scratch   []*workerScratch
 	outs      []tileOut
 	updBufs   [][]comm.Update
+	endBatch  comm.Batch
 	recvBatch comm.Batch
 	staged    [][]comm.Update
 
@@ -500,16 +503,17 @@ type server struct {
 	// reads dead peers' tile blobs from their subdirectories); baseOwner
 	// is the session's immutable tile→server ownership table as assigned
 	// at Open, shared by every server and runner (recovery re-deals a dead
-	// server's tiles as a pure function of it); ownedCnt[p] is how many
-	// tiles server p currently owns — the per-sender expected-batch count
-	// of the counted receive protocol; recvdFrom and seenTiles are per-step
-	// receive tallies (a distinct-tile bitset defeats duplicated frames);
-	// faults is the compiled fault plan; shared.dead marks a killed or
-	// fenced server (its job loop becomes a zombie).
+	// server's tiles as a pure function of it); recvdFrom, announced and
+	// seenTiles are the counted receive's per-step tallies — distinct tile
+	// frames received from each peer, the count its end-of-step frame
+	// announced (-1 until it arrives), and a distinct-tile bitset that
+	// defeats duplicated frames; faults is the compiled fault plan;
+	// shared.dead marks a killed or fenced server (its job loop becomes a
+	// zombie).
 	workRoot  string
 	baseOwner []int
-	ownedCnt  []int
 	recvdFrom []int
+	announced []int
 	seenTiles []uint64
 	faults    *compiledFaults
 	shared    *nodeShared
@@ -871,14 +875,9 @@ func (s *server) setup() error {
 	s.updBufs = make([][]comm.Update, len(s.metas))
 	s.staged = make([][]comm.Update, s.node.NumNodes())
 
-	// Fault-tolerance bookkeeping: the per-sender expected-batch counts
-	// derive from the ownership table, and the per-step receive tallies are
-	// sized for the cluster and tile count.
-	s.ownedCnt = make([]int, s.node.NumNodes())
-	for _, owner := range s.baseOwner {
-		s.ownedCnt[owner]++
-	}
+	// The per-step receive tallies, sized for the cluster and tile count.
 	s.recvdFrom = make([]int, s.node.NumNodes())
+	s.announced = make([]int, s.node.NumNodes())
 	s.seenTiles = make([]uint64, (s.total+63)/64)
 
 	capacity := s.cfg.CacheCapacity
@@ -1131,8 +1130,9 @@ func (c *stepCrew) stop() {
 }
 
 // runStep executes one superstep: compute over the assigned tiles with the
-// pipelined broadcast of updates, the counted receive of every live peer's
-// batches, the step-end consensus barrier, and the checkpoint phase inside
+// pipelined broadcast of dense tile batches, one end-of-step frame to every
+// peer carrying the sparse ones, the counted receive of every live peer's
+// frames, the step-end consensus barrier, and the checkpoint phase inside
 // the barrier bracket. It returns the step's stats and the global updated
 // count, and leaves the vertices it absorbed in s.frontier for the next
 // step's sweep. A cluster.ErrMembershipChanged return means a peer died
@@ -1155,7 +1155,9 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 	// as they arrive, concurrently with local compute. Applying waits
 	// until compute finishes so every gather reads step-(k-1) values.
 	crew.step = step
-	receiving := crew.recvReq != nil && s.stepExpected() > 0
+	// Every live peer sends an end-of-step frame, so there is something to
+	// receive exactly when a peer is alive.
+	receiving := crew.recvReq != nil && n.AliveCount() > 1
 	if receiving {
 		crew.recvReq <- step
 		crew.pending = true
@@ -1177,9 +1179,23 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 		crew.work <- k
 	}
 	crew.tiles.Wait()
+	for k := range s.outs {
+		if err := s.outs[k].err; err != nil {
+			return st, 0, err
+		}
+	}
+	if s.sender != nil {
+		end, err := s.broadcastEnd(step, crew.encOpts)
+		if err != nil {
+			return st, 0, err
+		}
+		st.SparseMsgs++
+		st.WireBytes += int64(end.WireBytes) * livePeers
+		st.RawBytes += int64(end.RawBytes) * livePeers
+	}
 
 	if k, ok := s.faults.killAt(n.ID(), step, KillMidStep); ok {
-		// Mid-step: this server's batches are enqueued or on the wire, but
+		// Mid-step: this server's frames are enqueued or on the wire, but
 		// it will never finish receiving or reach the barrier. A pending
 		// receive goroutine unwinds via the membership interrupt the death
 		// provokes; it only touches this zombie's private scratch.
@@ -1202,23 +1218,24 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 
 	for k := range s.outs {
 		o := &s.outs[k]
-		if o.err != nil {
-			return st, 0, o.err
-		}
 		if o.skipped {
 			st.SkippedTiles++
 		} else {
 			st.LoadedTiles++
 		}
 		st.GatheredEdges += o.gathered
-		if o.enc.Mode == comm.DenseMode {
-			st.DenseMsgs++
-		} else {
-			st.SparseMsgs++
+		if !o.deferred {
+			// A frame of its own: streamed to the peers, or, on a single
+			// server, encoded for these counters only.
+			if o.enc.Mode == comm.DenseMode {
+				st.DenseMsgs++
+			} else {
+				st.SparseMsgs++
+			}
+			// Wire bytes: each batch went to every live peer.
+			st.WireBytes += int64(o.enc.WireBytes) * livePeers
+			st.RawBytes += int64(o.enc.RawBytes) * livePeers
 		}
-		// Wire bytes: each batch went to every live peer.
-		st.WireBytes += int64(o.enc.WireBytes) * livePeers
-		st.RawBytes += int64(o.enc.RawBytes) * livePeers
 		absorb(o.updates)
 	}
 
@@ -1293,20 +1310,30 @@ func (s *server) runStep(step int, crew *stepCrew) (st StepStats, updatedTotal i
 	return st, updatedTotal, nil
 }
 
-// Update batches travel framed as [stepFrameMagic][step mod 256][comm
-// payload]. The magic (distinct from comm's raw 0xB7 and the recovery
-// marker's 0xC9) classifies the frame; the step byte pins it to its
-// superstep, so stale traffic is discarded instead of absorbed with
-// wrong-step values. Stale frames arise two ways: a duplicated frame
-// (scripted WireDuplicate) riding its FIFO link right behind the original
-// can cross one step boundary, and a crashed server's
+// Update batches travel in two frame kinds. A dense tile's batch streams as
+// [stepFrameMagic][step mod 256][comm payload] as soon as the tile is
+// computed; the sparse tiles' batches ride the end-of-step frame,
+// [endFrameMagic][step mod 256][u32 streamed-frame count][comm payload],
+// one per peer per step. The magics (distinct from comm's raw 0xB7, the job
+// envelope's 0xBA and the recovery marker's 0xC9) classify the frame; the
+// step byte pins it to its superstep, so stale traffic is discarded instead
+// of absorbed with wrong-step values. Stale frames arise two ways: a
+// duplicated frame (scripted WireDuplicate) riding its FIFO link right
+// behind the original can cross one step boundary, and a crashed server's
 // in-flight frames for the interrupted step can outlive recovery (nothing
 // forces their drain — the dead server sends no recovery marker). The step
 // byte disambiguates both as long as a replayed step is never 256 steps
 // away from the frame's origin, which CheckpointEvery < 256 guarantees.
-const stepFrameMagic = 0xB8
+const (
+	stepFrameMagic = 0xB8
+	endFrameMagic  = 0xBE
+)
 
-// stepHeader starts an update-batch frame for the given superstep. In a
+// endHeaderSize is an end-of-step frame's header: magic, step byte and the
+// streamed-frame count.
+const endHeaderSize = 1 + 1 + 4
+
+// stepHeader starts a tile-batch frame for the given superstep. In a
 // multi-tenant session the step header rides inside the job envelope
 // (comm.AppendJobHeader), so job A's frames can never alias job B's even at
 // the same superstep number.
@@ -1317,17 +1344,60 @@ func (s *server) stepHeader(dst []byte, step int) []byte {
 	return append(dst, stepFrameMagic, byte(step))
 }
 
-// stepExpected returns how many foreign update batches this step's counted
-// receive expects: one per tile owned by a live peer.
-func (s *server) stepExpected() int {
-	me := s.node.ID()
-	exp := 0
-	for p, cnt := range s.ownedCnt {
-		if p != me && s.node.Alive(p) {
-			exp += cnt
-		}
+// endHeader starts the end-of-step frame of the given superstep, announcing
+// how many tile frames this server streamed before it; job-enveloped like
+// stepHeader.
+func (s *server) endHeader(dst []byte, step, streamed int) []byte {
+	if s.multi {
+		dst = comm.AppendJobHeader(dst, s.jobID)
 	}
-	return exp
+	dst = append(dst, endFrameMagic, byte(step))
+	return binary.LittleEndian.AppendUint32(dst, uint32(streamed))
+}
+
+// decodeEndHeader splits an end-of-step frame into its step byte, the
+// announced count of streamed tile frames, and the comm payload (aliasing
+// frame).
+func decodeEndHeader(frame []byte) (step byte, streamed uint32, payload []byte, err error) {
+	if len(frame) < endHeaderSize || frame[0] != endFrameMagic {
+		return 0, 0, nil, fmt.Errorf("malformed end-of-step frame (%d bytes)", len(frame))
+	}
+	return frame[1], binary.LittleEndian.Uint32(frame[2:]), frame[endHeaderSize:], nil
+}
+
+// broadcastEnd sends this step's end-of-step frame to every peer: the
+// batches processTile deferred, concatenated in tile order into one batch
+// over [first deferred lo, last deferred hi), behind the count of tile
+// frames this server streamed earlier in the step. Every deferred tile was
+// sparse by the hybrid rule and the merged range only adds unchanged
+// targets, so the merged batch is sparse too; it is encoded as such once,
+// whatever its size. Per-link FIFO delivers it after every streamed frame.
+func (s *server) broadcastEnd(step int, opts comm.Options) (comm.Encoding, error) {
+	b := &s.endBatch
+	*b = comm.Batch{Updates: b.Updates[:0]}
+	streamed, merged := 0, false
+	for k := range s.outs {
+		o := &s.outs[k]
+		if !o.deferred {
+			streamed++
+			continue
+		}
+		meta := s.metas[k]
+		if !merged {
+			b.TileID, b.Lo, merged = uint32(meta.id), meta.lo, true
+		}
+		b.Hi = meta.hi
+		b.Updates = append(b.Updates, o.updates...)
+	}
+	opts.Choice = comm.ForceSparse
+	wb := s.sender.Acquire()
+	msg, enc, err := comm.AppendEncode(s.endHeader(wb.Data[:0], step, streamed), b, opts)
+	if err != nil {
+		s.sender.Release(wb)
+		return enc, err
+	}
+	wb.Data = msg
+	return enc, s.sender.Broadcast(wb)
 }
 
 // initialQueueCap is each destination's send-queue capacity when a
@@ -1437,71 +1507,102 @@ func (s *server) loadTile(meta *tileMeta, scr *workerScratch) (*csr.Tile, error)
 // tileOut is the outcome of processing one tile in one superstep.
 type tileOut struct {
 	updates  []comm.Update
-	enc      comm.Encoding
-	gathered int64 // in-edges folded through Gather
+	enc      comm.Encoding // zero when deferred
+	gathered int64         // in-edges folded through Gather
 	skipped  bool
+	// deferred marks a sparse batch left for the end-of-step frame
+	// instead of streamed in a frame of its own.
+	deferred bool
 	err      error
 }
 
 // receiveStep is the counted receive of one superstep: it consumes frames
-// until one distinct batch per live-peer-owned tile has arrived, decoding
-// each the moment it lands and staging its updates per sender rank. It runs
-// on its own goroutine concurrently with tile compute. Only one receive
-// runs at a time, so recvBatch and staged are single-writer.
+// until every live peer is finished — its end-of-step frame has arrived and
+// so has every tile frame that end frame announced — decoding each frame
+// the moment it lands and staging its updates per sender rank. It runs on
+// its own goroutine concurrently with tile compute. Only one receive runs
+// at a time, so recvBatch and staged are single-writer.
 //
-// The count is per distinct tile, not per frame: a seen-tile bitset drops
-// duplicated frames (scripted WireDuplicate, future retransmits), and stray
-// recovery markers from an earlier failure are discarded by magic byte.
-// When the stream stalls past the cluster's FailureTimeout, whichever live
-// peers still owe batches are declared dead and the step fails with
-// cluster.ErrMembershipChanged — the signal the superstep loop turns into
-// recovery. A peer whose frame was dropped by the wire is indistinguishable
-// from a dead one; the false accusation fences it, which is the designed
-// fail-stop semantic.
+// Per-link FIFO delivers a peer's end frame after its streamed frames; the
+// announced count still matters, because it turns a streamed frame the
+// wire lost into a stall instead of a silently partial step. Tile frames
+// count per distinct tile — a seen-tile bitset drops duplicated frames
+// (scripted WireDuplicate, future retransmits) — and a second end frame
+// from one peer is a duplicate too. Stray recovery markers from an earlier
+// failure and other steps' frames are discarded by magic and step byte.
+// When the stream stalls past the cluster's FailureTimeout, every live peer
+// whose end frame is missing or whose count is short is declared dead and
+// the step fails with cluster.ErrMembershipChanged — the signal the
+// superstep loop turns into recovery. A peer whose frame was dropped by the
+// wire is indistinguishable from a dead one; the false accusation fences
+// it, which is the designed fail-stop semantic.
 //
 // The receive is context-aware: a cancelled job stops staging immediately.
-// The remaining batches of the step are still drained — cancellation is
+// The remaining frames of the step are still drained — cancellation is
 // only acted on at the step edge, so every peer completes its sends and the
 // counted protocol must consume them to leave the transport clean for the
 // session's next job — but their contents are discarded, since the vote
 // barrier is now guaranteed to abort the job.
 func (s *server) receiveStep(ctx context.Context, step int) error {
 	me := s.node.ID()
-	need := 0
-	for p, cnt := range s.ownedCnt {
-		s.recvdFrom[p] = 0
+	need := 0 // live peers not finished yet
+	for p := range s.recvdFrom {
+		s.recvdFrom[p], s.announced[p] = 0, -1
 		if p != me && s.node.Alive(p) {
-			need += cnt
+			need++
 		}
 	}
 	if need == 0 {
 		return nil
 	}
-	for i := range s.seenTiles {
-		s.seenTiles[i] = 0
-	}
+	clear(s.seenTiles)
 	discard := false
 	handle := func(from int, msg []byte) (bool, error) {
-		if len(msg) < 2 || msg[0] != stepFrameMagic || msg[1] != byte(step) {
-			if len(msg) > 0 && (msg[0] == stepFrameMagic || msg[0] == markerMagic) {
-				// Another step's frame (a leaked duplicate, or a dead
-				// server's in-flight traffic outliving recovery) or a stray
-				// recovery marker: stale, discard.
-				return false, nil
+		switch {
+		case len(msg) > 0 && msg[0] == endFrameMagic:
+			st, streamed, payload, err := decodeEndHeader(msg)
+			if err != nil {
+				return false, fmt.Errorf("core: server %d: frame from server %d: %w", me, from, err)
 			}
+			if st != byte(step) || s.announced[from] >= 0 {
+				return false, nil // another step's end frame, or a duplicate
+			}
+			if uint64(streamed) > uint64(s.total) {
+				return false, fmt.Errorf("core: server %d: end-of-step frame from server %d announces %d tile frames, past the graph's %d tiles",
+					me, from, streamed, s.total)
+			}
+			if err := s.decodeBatch(from, payload); err != nil {
+				return false, err
+			}
+			s.announced[from] = int(streamed)
+		case len(msg) >= 2 && msg[0] == stepFrameMagic && msg[1] == byte(step):
+			if err := s.decodeBatch(from, msg[2:]); err != nil {
+				return false, err
+			}
+			t := int(s.recvBatch.TileID)
+			if s.seenTiles[t>>6]&(1<<uint(t&63)) != 0 {
+				return false, nil // duplicated frame
+			}
+			s.seenTiles[t>>6] |= 1 << uint(t&63)
+			s.recvdFrom[from]++
+		case len(msg) > 0 && (msg[0] == stepFrameMagic || msg[0] == markerMagic):
+			// Another step's frame (a leaked duplicate, or a dead server's
+			// in-flight traffic outliving recovery) or a stray recovery
+			// marker: stale, discard.
+			return false, nil
+		default:
 			return false, fmt.Errorf("core: server %d received non-batch frame (%d bytes) mid-step", me, len(msg))
 		}
-		if err := s.decodeBatch(from, msg[2:]); err != nil {
-			return false, err
-		}
-		t := int(s.recvBatch.TileID)
-		if s.seenTiles[t>>6]&(1<<uint(t&63)) != 0 {
-			return false, nil // duplicated frame
-		}
-		s.seenTiles[t>>6] |= 1 << uint(t&63)
-		s.recvdFrom[from]++
 		if !discard {
 			s.staged[from] = append(s.staged[from], s.recvBatch.Updates...)
+		}
+		got, want := s.recvdFrom[from], s.announced[from]
+		if want < 0 || got < want {
+			return false, nil
+		}
+		if got > want {
+			return false, fmt.Errorf("core: server %d received %d tile frames from server %d, whose end-of-step frame announced %d",
+				me, got, from, want)
 		}
 		need--
 		return need == 0, nil
@@ -1518,8 +1619,8 @@ func (s *server) receiveStep(ctx context.Context, step int) error {
 			// false accusation here would fence a healthy survivor.
 			return cluster.ErrMembershipChanged
 		}
-		for p, cnt := range s.ownedCnt {
-			if p != me && s.node.Alive(p) && s.recvdFrom[p] < cnt {
+		for p, got := range s.recvdFrom {
+			if p != me && s.node.Alive(p) && got != s.announced[p] {
 				s.node.DeclareDead(p)
 			}
 		}
@@ -1547,12 +1648,15 @@ func (s *server) decodeBatch(from int, msg []byte) error {
 	return nil
 }
 
-// processTile runs gather+apply over one tile and broadcasts the resulting
-// update batch (Algorithm 5 lines 8–16). Even skipped and empty tiles
-// broadcast a batch so receivers know exactly how many messages to expect.
-// All per-tile working memory — the update list, the decoded tile, the disk
-// read buffer and the wire buffer — is reused across supersteps, so in
-// steady state this path allocates nothing.
+// processTile runs gather+apply over one tile and ships the resulting
+// update batch (Algorithm 5 lines 8–16). A batch encoded dense streams to
+// the peers at once, overlapping the rest of the step's compute; a sparse
+// one (under the hybrid rule, every skipped or empty tile's) stays in
+// updBufs for the end-of-step frame (broadcastEnd), so a sparse step costs
+// one frame per peer instead of one per tile. All per-tile working memory —
+// the update list, the decoded tile, the disk read buffer and the wire
+// buffer — is reused across supersteps, so in steady state this path
+// allocates nothing.
 func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScratch) (out tileOut) {
 	meta := s.metas[k]
 	skip := s.frontier.idle(meta)
@@ -1578,6 +1682,15 @@ func (s *server) processTile(k, step int, encOpts comm.Options, scr *workerScrat
 
 	scr.batch = comm.Batch{TileID: uint32(meta.id), Lo: meta.lo, Hi: meta.hi, Updates: updates}
 	if s.sender != nil {
+		mode, err := encOpts.Mode(&scr.batch)
+		if err != nil {
+			out.err = err
+			return out
+		}
+		if mode == comm.SparseMode {
+			out.deferred = true
+			return out
+		}
 		// Pipelined: encode into a pooled wire buffer and enqueue it. The
 		// worker moves on to its next tile immediately; ownership of the
 		// buffer transfers to the sender, which recycles it after the last
@@ -1855,7 +1968,7 @@ func (s *server) fillServerStats() {
 // session. The clone shares everything session-lifetime — store, cache,
 // graph, node, metas data, the nodeShared plumbing — and privatizes
 // everything a concurrent BSP loop writes: vertex state (allocated fresh by
-// initJobState), scratch, per-tile buffers, ownership tables and receive
+// initJobState), scratch, per-tile buffers, the tile list and receive
 // tallies. Built field-by-field, so every field not listed starts at its
 // per-job zero value.
 func (s *server) jobRunner(jb *job) *server {
@@ -1888,11 +2001,8 @@ func (s *server) jobRunner(jb *job) *server {
 	r.outs = make([]tileOut, len(r.metas))
 	r.updBufs = make([][]comm.Update, len(r.metas))
 	r.staged = make([][]comm.Update, r.node.NumNodes())
-	r.ownedCnt = make([]int, r.node.NumNodes())
-	for _, owner := range r.baseOwner {
-		r.ownedCnt[owner]++
-	}
 	r.recvdFrom = make([]int, r.node.NumNodes())
+	r.announced = make([]int, r.node.NumNodes())
 	r.seenTiles = make([]uint64, (r.total+63)/64)
 	// Static send-queue sizing only: the adaptive controller reads node-wide
 	// stall metrics, which concurrent runners would pollute for each other.

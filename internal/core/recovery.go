@@ -55,8 +55,9 @@ import (
 var errServerKilled = errors.New("core: this server was killed")
 
 // markerMagic is the first byte of a recovery marker; disjoint from comm
-// (0xB7) and step-frame (0xB8) payloads so step receive loops can discard
-// stray duplicated markers by inspection.
+// (0xB7), tile step-frame (0xB8), job-envelope (0xBA) and end-of-step
+// (0xBE) payloads, so step receive loops can discard stray duplicated
+// markers, and the marker exchange stale step frames, by inspection.
 const markerMagic = 0xC9
 
 // markerSize is magic + epoch (u64) + newest checkpoint step (i64).
@@ -309,12 +310,6 @@ func (s *server) reconcileTiles(alive []bool) error {
 			return err
 		}
 		s.tilesAdopted++
-	}
-	for p := range s.ownedCnt {
-		s.ownedCnt[p] = 0
-	}
-	for _, owner := range cur {
-		s.ownedCnt[owner]++
 	}
 	return nil
 }

@@ -262,47 +262,115 @@ func TestHangRecovery(t *testing.T) {
 	}
 }
 
-// TestWireDuplicateTolerated injects duplicated frames on several links.
-// The counted receive protocol dedupes by tile and the step-tagged frame
-// header discards the copy when it straddles a step boundary, so nobody
-// dies and the values stay bit-identical.
-func TestWireDuplicateTolerated(t *testing.T) {
-	p := chaosPartition(t)
-	want := chaosRun(t, p, nil)
+// chaosGrid is the SSSP input of the wire-fault cases: a weighted 32×32
+// road grid whose tiles are wide enough that no step's wavefront changes a
+// fifth of one, so every tile batch is sparse and every frame on a link is
+// an end-of-step frame.
+func chaosGrid(t *testing.T) *tile.Partition {
+	t.Helper()
+	_, p := roadGrid(t, 32, 512)
+	return p
+}
 
+// ssspChaosRun runs SSSP to convergence over p on the chaos configuration
+// with the given tweaks.
+func ssspChaosRun(t *testing.T, p *tile.Partition, mutate func(*Config)) *Result {
+	t.Helper()
+	cfg := chaosConfig(t)
+	cfg.MaxSupersteps = 1000
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	res, err := New(cfg).Run(Input{Partition: p}, apps.SSSP{Source: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// ssspChaosBaseline is the fault-free SSSP run the wire-fault cases compare
+// against. It fails unless every frame of the run was an end-of-step frame.
+func ssspChaosBaseline(t *testing.T, p *tile.Partition) *Result {
+	t.Helper()
+	want := ssspChaosRun(t, p, nil)
+	for _, st := range want.Steps {
+		if st.DenseMsgs != 0 {
+			t.Fatalf("baseline step %d streamed %d tile frames; the case wants end-of-step frames only", st.Superstep, st.DenseMsgs)
+		}
+	}
+	return want
+}
+
+// TestWireDuplicateTolerated injects duplicated frames on several links.
+// The counted receive protocol dedupes tile frames by tile and a peer's
+// second end-of-step frame by sender, and the step-tagged frame header
+// discards a copy that straddles a step boundary, so nobody dies and the
+// values stay bit-identical. PageRank duplicates streamed tile frames; on
+// the SSSP grid every duplicated frame is an end-of-step frame.
+func TestWireDuplicateTolerated(t *testing.T) {
 	plan := &FaultPlan{Wire: []WireFault{
 		{From: 0, To: 1, Frame: 0, Action: cluster.WireDuplicate},
 		{From: 1, To: -1, Frame: 2, Action: cluster.WireDuplicate},
 		{From: 2, To: 0, Frame: 5, Action: cluster.WireDuplicate},
 	}}
 	t.Run("dup/"+pipelinedCase, func(t *testing.T) {
+		p := chaosPartition(t)
+		want := chaosRun(t, p, nil)
 		res := chaosRun(t, p, func(c *Config) { c.Faults = plan })
 		wantExact(t, res.Values, want.Values, "dup")
 		wantDead(t, res, "dup") // nobody dies
 	})
+	t.Run("dup-end-frames/"+pipelinedCase, func(t *testing.T) {
+		p := chaosGrid(t)
+		want := ssspChaosBaseline(t, p)
+		res := ssspChaosRun(t, p, func(c *Config) { c.Faults = plan })
+		wantExact(t, res.Values, want.Values, "dup-end-frames")
+		wantDead(t, res, "dup-end-frames")
+	})
 }
 
-// TestWireDropRecovered drops one update frame on the 0→1 link. The
-// counted receive protocol turns the loss into a death: either receiver 1
-// times out and (falsely) accuses sender 0, which then fences itself, or
-// the peers waiting at the barrier accuse stalled receiver 1 first — the
-// race between the two detectors is timing, and under fail-stop semantics
-// both outcomes are correct. Whoever dies, the survivors must recover and
-// produce bit-identical values.
+// TestWireDropRecovered drops one frame on the 0→1 link. The counted
+// receive protocol turns the loss into a death: either receiver 1 times
+// out and (falsely) accuses sender 0, which then fences itself, or the
+// peers waiting at the barrier accuse stalled receiver 1 first — the race
+// between the two detectors is timing, and under fail-stop semantics both
+// outcomes are correct. Whoever dies, the survivors must recover and
+// produce bit-identical values. In the PageRank case the lost frame is a
+// streamed tile frame whose end-of-step frame still arrives, announcing one
+// frame more than receiver 1 got; on the SSSP grid it is the end-of-step
+// frame itself.
 func TestWireDropRecovered(t *testing.T) {
-	p := chaosPartition(t)
-	want := chaosRun(t, p, nil)
-
-	res := chaosRun(t, p, func(c *Config) {
+	drop := func(c *Config) {
 		c.FailureTimeout = time.Second
 		c.Faults = &FaultPlan{Wire: []WireFault{
 			{From: 0, To: 1, Frame: 2, Action: cluster.WireDrop},
 		}}
-	})
-	wantExact(t, res.Values, want.Values, "wire-drop")
-	if len(res.DeadServers) < 1 || len(res.DeadServers) > 2 {
-		t.Fatalf("wire-drop: DeadServers = %v, want exactly one accusation round (1 or 2 deaths)", res.DeadServers)
 	}
+	wantOneRound := func(t *testing.T, res *Result, label string) {
+		t.Helper()
+		if len(res.DeadServers) < 1 || len(res.DeadServers) > 2 {
+			t.Fatalf("%s: DeadServers = %v, want exactly one accusation round (1 or 2 deaths)", label, res.DeadServers)
+		}
+	}
+
+	p := chaosPartition(t)
+	want := chaosRun(t, p, nil)
+	// Server 0 owns three tiles; with every step-0 batch dense, frame 2 on
+	// its link to 1 is its third streamed tile frame, not the end frame.
+	if got := want.Steps[0].DenseMsgs; got != p.NumTiles() {
+		t.Fatalf("baseline step 0 streamed %d tile frames, want all %d", got, p.NumTiles())
+	}
+	res := chaosRun(t, p, drop)
+	wantExact(t, res.Values, want.Values, "wire-drop")
+	wantOneRound(t, res, "wire-drop")
+
+	t.Run("end-frame", func(t *testing.T) {
+		p := chaosGrid(t)
+		want := ssspChaosBaseline(t, p)
+		res := ssspChaosRun(t, p, drop)
+		wantExact(t, res.Values, want.Values, "wire-drop-end-frame")
+		wantOneRound(t, res, "wire-drop-end-frame")
+	})
 }
 
 // TestSessionRecoversThenRunsNextJob proves a session survives a mid-job

@@ -156,7 +156,9 @@ func roadGrid(t *testing.T, side uint32, tileSize int) (*graph.EdgeList, *tile.P
 // TestSelectiveGridSSSP runs the sssp-grid workload's job both ways. The
 // wavefront grows past BloomCheckLimit (1024) mid-run and shrinks again, so
 // the job has sparse steps on both sides of the old list limit; the
-// superstep count is the workload's regime guard (412 at seed 1).
+// superstep count is the workload's regime guard (412 at seed 1). Every
+// tile batch of the job is sparse, so each server sends exactly one frame
+// per step: its end-of-step frame.
 func TestSelectiveGridSSSP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("412-superstep grid runs are slow")
@@ -179,6 +181,12 @@ func TestSelectiveGridSSSP(t *testing.T) {
 	wantClose(t, got.Values, graph.RefSSSP(el, 0), 1e-9, "grid sssp vs Dijkstra")
 	if got.Supersteps != 412 {
 		t.Fatalf("ran %d supersteps, want 412", got.Supersteps)
+	}
+	for _, st := range got.Steps {
+		if st.SparseMsgs != 4 || st.DenseMsgs != 0 {
+			t.Fatalf("step %d sent %d sparse and %d dense frames, want one end-of-step frame per server (4) and no tile frames",
+				st.Superstep, st.SparseMsgs, st.DenseMsgs)
+		}
 	}
 	limit := 1024 // Config.BloomCheckLimit's default
 	under, over, skipped := 0, 0, 0

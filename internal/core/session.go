@@ -331,10 +331,11 @@ func Open(in Input, cfg Config) (*Session, error) {
 			if multi {
 				// The frame router owns this node's inbox for the whole
 				// session: runners only ever see their own job's mailbox. The
-				// mailbox bound covers a full superstep of traffic (one frame
-				// per tile per live peer ≤ 2×tiles for practical clusters)
-				// plus recovery markers and slack, so routing never blocks on
-				// a lagging runner in the common case.
+				// mailbox bound covers a full superstep of traffic (at most
+				// one tile frame per tile plus one end-of-step frame per live
+				// peer ≤ 2×tiles for practical clusters) plus recovery
+				// markers and slack, so routing never blocks on a lagging
+				// runner in the common case.
 				r := newFrameRouter(n, se.routerCap, se.noteFatal)
 				sv.shared.router.Store(r)
 				go r.run()

@@ -19,10 +19,16 @@ type StepStats struct {
 	// Updated is the number of vertices whose value changed this step.
 	Updated int `json:"updated"`
 	// WireBytes is the network traffic of the step (message bytes actually
-	// sent between distinct servers); RawBytes the pre-compression size.
+	// sent between distinct servers, end-of-step frames included);
+	// RawBytes the pre-compression size.
 	WireBytes int64 `json:"wire_bytes"`
 	RawBytes  int64 `json:"raw_bytes"`
-	// DenseMsgs and SparseMsgs count update batches by wire encoding.
+	// DenseMsgs and SparseMsgs count the frames that went on the wire. On a
+	// multi-server cluster dense tile batches stream in frames of their
+	// own, counted in DenseMsgs, and every sparse batch rides its server's
+	// one end-of-step frame, counted in SparseMsgs (one per server per
+	// step). A single server sends nothing and counts each tile's batch by
+	// the encoding it would have had.
 	DenseMsgs  int `json:"dense_msgs"`
 	SparseMsgs int `json:"sparse_msgs"`
 	// SkippedTiles counts tiles pruned without being loaded because none of
