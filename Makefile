@@ -1,7 +1,7 @@
 # Tier-1 verification and development targets. `make ci` is the one-command
 # tier-1 gate (build, vet, full test suite); `make check` is the default
-# developer gate: ci plus a race-detector pass over the concurrency-heavy
-# packages and a short-budget fuzz run.
+# developer gate: ci plus a race-detector pass over the whole suite and a
+# short-budget fuzz run.
 
 GO ?= go
 
@@ -21,15 +21,10 @@ test:
 # ci is the tier-1 verify: everything must build, vet clean and pass.
 ci: build vet test
 
-# race runs the cluster, core, disk, cache and baseline suites — the
-# packages with real cross-goroutine traffic (pipelined sender, receive
-# loop, worker pools, the sweep-ahead prefetcher, the async batched reader,
-# the multi-tenant session: concurrent Submits, the admission controller,
-# the share window and the per-job frame router; the concurrent-stress test
-# raises GOMAXPROCS to at least 4 itself; and the baseline engines' streamed
-# receives) — under the race detector.
+# race runs the whole test suite under the race detector (about 2 minutes
+# on 2 vCPUs, most of it in internal/bench).
 race:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/core/ ./internal/disk/ ./internal/cache/ ./internal/baseline/
+	$(GO) test -race -count=1 ./...
 
 # check is the default gate: tier-1 plus race, the chaos suite, a short fuzz
 # budget, the documentation and API gates, the perf smoke pass, the

@@ -82,7 +82,9 @@ type RunOptions struct {
 	// MaxSupersteps bounds the job; 0 inherits the session default.
 	MaxSupersteps int `json:"max_supersteps,omitempty"`
 	// MessageCodec compresses this job's update broadcasts: raw, snappy,
-	// zlib-1 or zlib-3; "" inherits the session default.
+	// zlib-1 or zlib-3. "" inherits the session default, which is the cost
+	// model's choice (snappy only where the modelled link makes it pay,
+	// raw otherwise) unless the daemon forces a codec.
 	MessageCodec string `json:"message_codec,omitempty"`
 	// CheckpointEvery overrides the session checkpoint interval: 0
 	// inherits, negative disables, positive checkpoints every K supersteps.

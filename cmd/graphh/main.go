@@ -48,7 +48,7 @@ func main() {
 		cacheCap   = flag.Int64("cache-bytes", 0, "edge cache capacity per server (0 = unlimited, <0 disabled)")
 		cacheMode  = flag.String("cache-mode", "auto", "cache codec: auto, raw, snappy, zlib-1, zlib-3")
 		cachePol   = flag.String("cache-policy", "auto", "cache eviction: auto, admit-no-evict, clock")
-		msgCodec   = flag.String("msg-codec", "snappy", "message codec: raw, snappy, zlib-1, zlib-3")
+		msgCodec   = flag.String("msg-codec", "auto", "message codec: auto (snappy only where -net-bw makes it pay), raw, snappy, zlib-1, zlib-3")
 		tcp        = flag.Bool("tcp", false, "use the TCP loopback transport")
 		symmetrize = flag.Bool("symmetrize", false, "add reverse edges before running (needed by wcc)")
 		top        = flag.Int("top", 10, "print the top-K vertices by value")
@@ -125,7 +125,7 @@ func main() {
 		opts.Transport = graphh.TransportTCP
 	}
 	if *cacheMode != "auto" {
-		m, err := parseCodec(*cacheMode)
+		m, err := graphh.CodecByName(*cacheMode)
 		if err != nil {
 			fail(err)
 		}
@@ -143,11 +143,13 @@ func main() {
 	} else {
 		opts.Residency = r
 	}
-	mc, err := parseCodec(*msgCodec)
-	if err != nil {
-		fail(err)
+	if *msgCodec != "auto" {
+		mc, err := graphh.CodecByName(*msgCodec)
+		if err != nil {
+			fail(err)
+		}
+		opts.MessageCodec = &mc
 	}
-	opts.MessageCodec = &mc
 
 	sess, err := graphh.Open(p, opts)
 	if err != nil {
@@ -335,29 +337,6 @@ func loadGraph(in, dataset string, scale float64) (*graphh.Graph, error) {
 		return graphh.LoadCSV(f, in)
 	}
 	return graphh.LoadBinary(f, in)
-}
-
-func parseCodec(name string) (graphh.Codec, error) {
-	m, err := codecByName(name)
-	if err != nil {
-		return graphh.CodecNone, err
-	}
-	return m, nil
-}
-
-func codecByName(name string) (graphh.Codec, error) {
-	switch name {
-	case "raw", "none":
-		return graphh.CodecNone, nil
-	case "snappy":
-		return graphh.CodecSnappy, nil
-	case "zlib-1":
-		return graphh.CodecZlib1, nil
-	case "zlib-3":
-		return graphh.CodecZlib3, nil
-	default:
-		return graphh.CodecNone, fmt.Errorf("unknown codec %q", name)
-	}
 }
 
 func fail(err error) {

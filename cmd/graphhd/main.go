@@ -47,7 +47,7 @@ func main() {
 		cacheCap   = flag.Int64("cache-bytes", 0, "edge cache capacity per server (0 = unlimited, <0 disabled)")
 		cacheMode  = flag.String("cache-mode", "auto", "cache codec: auto, raw, snappy, zlib-1, zlib-3")
 		cachePol   = flag.String("cache-policy", "auto", "cache eviction: auto, admit-no-evict, clock")
-		msgCodec   = flag.String("msg-codec", "snappy", "default message codec: raw, snappy, zlib-1, zlib-3")
+		msgCodec   = flag.String("msg-codec", "auto", "default message codec: auto (snappy only where -net-bw makes it pay), raw, snappy, zlib-1, zlib-3")
 		tcp        = flag.Bool("tcp", false, "use the TCP loopback transport between simulated servers")
 		symmetrize = flag.Bool("symmetrize", false, "add reverse edges before serving (needed by wcc)")
 		diskBW     = flag.Int64("disk-bw", 0, "disk bandwidth model, bytes/s (0 = unthrottled)")
@@ -112,11 +112,13 @@ func main() {
 	} else {
 		opts.Residency = r
 	}
-	mc, err := graphh.CodecByName(*msgCodec)
-	if err != nil {
-		fail(err)
+	if *msgCodec != "auto" {
+		mc, err := graphh.CodecByName(*msgCodec)
+		if err != nil {
+			fail(err)
+		}
+		opts.MessageCodec = &mc
 	}
-	opts.MessageCodec = &mc
 
 	sess, err := graphh.Open(p, opts)
 	if err != nil {

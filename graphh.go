@@ -284,11 +284,11 @@ func Partition(g *Graph, opts PartitionOptions) (*Partitioned, error) {
 }
 
 // Options configures a Run or an Open. The zero value runs single-server
-// with the paper's defaults (snappy message compression, hybrid
-// communication, automatic cache mode, All-in-All replication, Bloom tile
-// skipping). MaxSupersteps and MessageCodec are per-job settings that
-// historically lived here; on a session they act as defaults that RunOptions
-// can override per Submit.
+// with the paper's defaults (hybrid communication, automatic cache mode,
+// All-in-All replication, Bloom tile skipping) and compresses update
+// messages only where the modelled link makes it pay. MaxSupersteps and
+// MessageCodec are per-job settings that historically lived here; on a
+// session they act as defaults that RunOptions can override per Submit.
 type Options struct {
 	// Servers is N, the simulated cluster size (default 1).
 	Servers int
@@ -330,8 +330,10 @@ type Options struct {
 	// switches to GraphD-style streaming when it is far below the tile
 	// working set; ResidencyCached / ResidencyStreaming force a tier.
 	Residency ResidencyMode
-	// MessageCodec compresses update broadcasts; nil = snappy (§IV-C).
-	// Per-job override: RunOptions.MessageCodec.
+	// MessageCodec compresses update broadcasts (§IV-C); nil picks per
+	// job from Servers and NetBandwidth: snappy when the wire time it saves
+	// beats its encode and decode time, raw otherwise (always raw when
+	// NetBandwidth is 0). Per-job override: RunOptions.MessageCodec.
 	MessageCodec *Codec
 	// ForceDense / ForceSparse disable the hybrid wire encoding (ablation).
 	ForceDense, ForceSparse bool
@@ -403,7 +405,8 @@ func (o Options) engineConfig() (core.Config, error) {
 		cfg.CachePolicy = *o.CachePolicy
 	}
 	if o.MessageCodec != nil {
-		cfg.MsgCodec = *o.MessageCodec
+		mc := *o.MessageCodec
+		cfg.MsgCodec = &mc
 	}
 	switch {
 	case o.ForceDense:
@@ -434,7 +437,7 @@ type RunOptions struct {
 	// MaxSupersteps bounds this job; 0 inherits Options.MaxSupersteps.
 	MaxSupersteps int
 	// MessageCodec compresses this job's update broadcasts; nil inherits
-	// Options.MessageCodec (snappy by default).
+	// Options.MessageCodec (the link-based choice by default).
 	MessageCodec *Codec
 	// Progress, when non-nil, streams live statistics: it is called once
 	// per superstep, at the step's BSP barrier, from the coordinator

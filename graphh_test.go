@@ -111,7 +111,7 @@ func TestOptionKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mode := graphh.CodecZlib1
-	msg := graphh.CodecNone
+	msg := graphh.CodecSnappy
 	raw := graphh.CodecNone
 	noEvict := graphh.CacheAdmitNoEvict
 	clock := graphh.CacheClock
@@ -145,6 +145,41 @@ func TestOptionKnobs(t *testing.T) {
 			if res.Values[v] != base[v] {
 				t.Fatalf("option variant changed results at vertex %d", v)
 			}
+		}
+	}
+}
+
+// TestMessageCodecFollowsLink pins the default message codec's cost-model
+// decision end to end. With no link model (NetBandwidth 0) update frames go
+// raw, so every step's wire bytes are its raw bytes plus frame headers; on
+// a 1 Gbps NIC model with 8 servers the broadcast saves more wire time than
+// snappy costs, so frames are compressed.
+func TestMessageCodecFollowsLink(t *testing.T) {
+	g := graphh.GenerateRMAT(2000, 16000, 5)
+	p, err := graphh.Partition(g, graphh.PartitionOptions{TileSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts graphh.Options) []graphh.StepStats {
+		t.Helper()
+		opts.MaxSupersteps = 4
+		opts.WorkDir = t.TempDir()
+		res, err := graphh.Run(p, graphh.NewPageRank(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Steps
+	}
+	for _, st := range run(graphh.Options{Servers: 4}) {
+		if st.RawBytes == 0 || st.WireBytes < st.RawBytes {
+			t.Errorf("4 servers, no link model, step %d: wire %d B, raw %d B; want raw frames (wire >= raw > 0)",
+				st.Superstep, st.WireBytes, st.RawBytes)
+		}
+	}
+	for _, st := range run(graphh.Options{Servers: 8, NetBandwidth: 125e6}) {
+		if st.WireBytes >= st.RawBytes {
+			t.Errorf("8 servers at 1 Gbps, step %d: wire %d B, raw %d B; want compressed frames (wire < raw)",
+				st.Superstep, st.WireBytes, st.RawBytes)
 		}
 	}
 }

@@ -303,15 +303,16 @@ func runFigure8b(c *Context, w io.Writer) error {
 	fmt.Fprintln(tw, "superstep\tdense-MB\tsparse-MB")
 	var dense, sparse *core.Result
 	var err error
+	raw := compress.None
 	if dense, err = figure8Run(c, func(cfg *core.Config) {
 		cfg.Comm = comm.ForceDense
-		cfg.MsgCodec = compress.None
+		cfg.MsgCodec = &raw
 	}); err != nil {
 		return err
 	}
 	if sparse, err = figure8Run(c, func(cfg *core.Config) {
 		cfg.Comm = comm.ForceSparse
-		cfg.MsgCodec = compress.None
+		cfg.MsgCodec = &raw
 	}); err != nil {
 		return err
 	}
@@ -336,7 +337,7 @@ func runFigure8c(c *Context, w io.Writer) error {
 	tw := newTable(w)
 	fmt.Fprintln(tw, "codec\ttotal-wire-MB\ttotal-raw-MB\treduction")
 	for _, codec := range compress.Modes {
-		res, err := figure8Run(c, func(cfg *core.Config) { cfg.MsgCodec = codec })
+		res, err := figure8Run(c, func(cfg *core.Config) { cfg.MsgCodec = &codec })
 		if err != nil {
 			return err
 		}
@@ -358,15 +359,21 @@ func runFigure8d(c *Context, w io.Writer) error {
 	tw := newTable(w)
 	fmt.Fprintln(tw, "codec\tavg-step-ms")
 	for _, codec := range compress.Modes {
-		res, err := figure8Run(c, func(cfg *core.Config) { cfg.MsgCodec = codec })
+		res, err := figure8Run(c, func(cfg *core.Config) { cfg.MsgCodec = &codec })
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(tw, "%s\t%s\n", codec, ms(res.AvgStepDuration()))
 	}
+	// The last row leaves the codec to the cost model at this link.
+	res, err := figure8Run(c, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(tw, "auto (%s)\t%s\n", costmodel.SelectMsgCodec(c.Servers, c.NetBW), ms(res.AvgStepDuration()))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "paper: raw 2.32s, snappy 1.73s, zlib-1 1.56s, zlib-3 1.50s per superstep (first 50 steps); snappy is the default")
+	fmt.Fprintln(w, "paper: raw 2.32s, snappy 1.73s, zlib-1 1.56s, zlib-3 1.50s per superstep (first 50 steps); the auto row is costmodel.SelectMsgCodec's pick for this cluster's link")
 	return nil
 }

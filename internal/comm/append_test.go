@@ -226,6 +226,24 @@ func BenchmarkAppendEncodeDenseSnappy(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendEncodeDenseRaw is BenchmarkAppendEncodeDenseSnappy's
+// batch without compression: the difference between the two is what snappy
+// adds per frame, the encode rate costmodel.SelectMsgCodec is pinned to.
+func BenchmarkAppendEncodeDenseRaw(b *testing.B) {
+	batch := buildBatch(1<<16, 1<<14)
+	opts := Options{Choice: ForceDense, Codec: compress.None}
+	var wire []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		wire, _, err = AppendEncode(wire[:0], batch, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAppendEncodeSparseSnappy(b *testing.B) {
 	batch := buildBatch(1<<16, 1<<10)
 	opts := Options{Choice: ForceSparse, Codec: compress.Snappy}

@@ -22,8 +22,10 @@ const pipelinedCase = "lockstep=false"
 // pipelined communication subsystem: because foreign batches are staged
 // during compute and applied only after the barrier-side join, and tile
 // target ranges are disjoint, the final vertex values must not depend on
-// the transport or the server count. Every configuration must match the
-// single-server run down to the last float64 bit.
+// the transport, the server count or the message codec. Every
+// configuration must match the single-server run down to the last float64
+// bit. The TCP cases run under the default codec (raw on an unmodelled
+// link) and again with snappy forced.
 func TestPipelinedDeterminism(t *testing.T) {
 	el := graph.GenerateRMAT(graph.DefaultRMAT(), 600, 6000, 42)
 	p, err := tile.Split(el, tile.Options{TileSize: el.NumEdges()/16 + 1})
@@ -32,12 +34,13 @@ func TestPipelinedDeterminism(t *testing.T) {
 	}
 	const steps = 8
 
-	run := func(t *testing.T, servers int, tr cluster.TransportKind) []float64 {
+	run := func(t *testing.T, servers int, tr cluster.TransportKind, codec func(*Config)) []float64 {
 		t.Helper()
 		cfg := DefaultConfig(servers)
 		cfg.WorkDir = t.TempDir()
 		cfg.MaxSupersteps = steps
 		cfg.Transport = tr
+		codec(&cfg)
 		res, err := New(cfg).Run(Input{Partition: p}, apps.PageRank{})
 		if err != nil {
 			t.Fatal(err)
@@ -45,19 +48,24 @@ func TestPipelinedDeterminism(t *testing.T) {
 		return res.Values
 	}
 
-	want := run(t, 1, cluster.Inproc)
+	want := run(t, 1, cluster.Inproc, wireCodecs[0].set)
 	for _, servers := range []int{1, 2, 4, 8} {
 		for _, tr := range []cluster.TransportKind{cluster.Inproc, cluster.TCP} {
-			name := fmt.Sprintf("servers=%d/%s/%s", servers, tr, pipelinedCase)
-			t.Run(name, func(t *testing.T) {
-				got := run(t, servers, tr)
-				for v := range want {
-					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
-							v, math.Float64bits(got[v]), math.Float64bits(want[v]))
-					}
+			for _, codec := range wireCodecs {
+				if codec.suffix != "" && tr != cluster.TCP {
+					continue
 				}
-			})
+				name := fmt.Sprintf("servers=%d/%s%s/%s", servers, tr, codec.suffix, pipelinedCase)
+				t.Run(name, func(t *testing.T) {
+					got := run(t, servers, tr, codec.set)
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("vertex %d = %x, want %x (not bit-identical)",
+								v, math.Float64bits(got[v]), math.Float64bits(want[v]))
+						}
+					}
+				})
+			}
 		}
 	}
 }

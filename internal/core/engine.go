@@ -69,10 +69,12 @@ type Config struct {
 	// scratch, no cache churn) when the budget is ≤ 1/8 of the working set
 	// or the cache is disabled.
 	Residency ResidencyMode
-	// MsgCodec compresses update broadcasts (§IV-C); the paper's default
-	// is snappy (set by DefaultConfig). Sessions treat it as the per-job
-	// default; JobOptions.MsgCodec overrides it for one Submit.
-	MsgCodec compress.Mode
+	// MsgCodec compresses update broadcasts (§IV-C). nil (the default)
+	// leaves the choice to costmodel.SelectMsgCodec, made once per job
+	// from NumServers and NetBandwidth: snappy only where the link makes
+	// it pay, raw otherwise. Sessions treat it as the per-job default;
+	// JobOptions.MsgCodec overrides it for one Submit.
+	MsgCodec *compress.Mode
 	// Comm selects hybrid/dense/sparse wire encoding (default hybrid).
 	Comm comm.ModeChoice
 	// SparsityThreshold overrides the 0.8 hybrid switch point if positive.
@@ -197,13 +199,12 @@ func ResidencyByName(name string) (ResidencyMode, error) {
 }
 
 // DefaultConfig returns the paper's default engine configuration for an
-// N-server cluster: hybrid communication with snappy message compression,
-// automatic cache-mode selection with unlimited capacity, All-in-All
-// replication and Bloom tile skipping.
+// N-server cluster: hybrid communication with message compression where
+// the link pays for it, automatic cache-mode selection with unlimited
+// capacity, All-in-All replication and Bloom tile skipping.
 func DefaultConfig(numServers int) Config {
 	return Config{
 		NumServers:      numServers,
-		MsgCodec:        compress.Snappy,
 		CacheAuto:       true,
 		CachePolicyAuto: true,
 		BloomSkip:       true,
@@ -1792,8 +1793,9 @@ func (s *server) collectResult() error {
 	// Sender (every rank but 0 has one), so encoding the next range overlaps
 	// the previous range's wire time instead of paying blocking sends at the
 	// run tail; rank 0 streams the batches straight into the result vector
-	// (target ranges are disjoint, so arrival order is irrelevant).
-	collectOpts := comm.Options{Choice: comm.ForceDense, Codec: compress.Snappy}
+	// (target ranges are disjoint, so arrival order is irrelevant). The
+	// frames use the job's message codec.
+	collectOpts := comm.Options{Choice: comm.ForceDense, Codec: s.msgCodec}
 	if n.ID() != 0 {
 		for _, meta := range s.metas {
 			ups := make([]comm.Update, 0, meta.hi-meta.lo)

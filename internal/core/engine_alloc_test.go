@@ -121,7 +121,13 @@ func newServerOn(t testing.TB, p *tile.Partition, prog Program, mutate func(*Con
 		// per-message payload copy muddying the count.
 		sv.sender = cl.Node(0).NewSender(initialQueueCap)
 	}
-	encOpts := comm.Options{Choice: cfg.Comm, Codec: cfg.MsgCodec}
+	// Encode with snappy, the path through the compression scratch
+	// buffer, unless mutate picks a codec.
+	codec := compress.Snappy
+	if cfg.MsgCodec != nil {
+		codec = *cfg.MsgCodec
+	}
+	encOpts := comm.Options{Choice: cfg.Comm, Codec: codec}
 	return sv, encOpts, func() { cl.Close() }
 }
 

@@ -217,7 +217,7 @@ func TestMsgCodecsEquivalence(t *testing.T) {
 	var base []float64
 	for _, codec := range compress.Modes {
 		res := runOn(t, el, apps.PageRank{}, func(c *Config) {
-			c.MsgCodec = codec
+			c.MsgCodec = &codec
 			c.MaxSupersteps = 8
 		})
 		if base == nil {

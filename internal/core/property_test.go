@@ -37,7 +37,8 @@ func TestPropertyEngineMatchesOracleUnderRandomConfigs(t *testing.T) {
 		cfg := DefaultConfig(int(rng.Uint32N(5)) + 1)
 		cfg.WorkDir = t.TempDir()
 		cfg.WorkersPerServer = int(rng.Uint32N(4)) + 1
-		cfg.MsgCodec = compress.Modes[rng.Uint32N(4)]
+		msgCodec := compress.Modes[rng.Uint32N(4)]
+		cfg.MsgCodec = &msgCodec
 		cfg.Comm = []comm.ModeChoice{comm.Auto, comm.ForceDense, comm.ForceSparse}[rng.Uint32N(3)]
 		cfg.CacheAuto = rng.Uint32N(2) == 0
 		if !cfg.CacheAuto {

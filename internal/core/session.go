@@ -47,7 +47,7 @@ type JobOptions struct {
 	// session Config's bound.
 	MaxSupersteps int
 	// MsgCodec compresses this job's update broadcasts; nil inherits the
-	// session Config's codec.
+	// session Config's codec, or its cost-model choice.
 	MsgCodec *compress.Mode
 	// Progress, when non-nil, streams live per-superstep statistics: it is
 	// called once per superstep, at the step's BSP barrier edge, from the
@@ -595,9 +595,12 @@ func (se *Session) makeJob(ctx context.Context, prog Program, opts JobOptions) (
 	if maxSteps <= 0 {
 		maxSteps = se.cfg.MaxSupersteps
 	}
-	codec := se.cfg.MsgCodec
-	if opts.MsgCodec != nil {
+	codec := costmodel.SelectMsgCodec(se.cfg.NumServers, se.cfg.NetBandwidth)
+	switch {
+	case opts.MsgCodec != nil:
 		codec = *opts.MsgCodec
+	case se.cfg.MsgCodec != nil:
+		codec = *se.cfg.MsgCodec
 	}
 	ckptEvery := se.cfg.CheckpointEvery
 	switch {

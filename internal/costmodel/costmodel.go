@@ -9,6 +9,8 @@ package costmodel
 import (
 	"math"
 	"time"
+
+	"repro/internal/compress"
 )
 
 // GraphParams describes a graph for analytic evaluation. Paper-scale values
@@ -382,6 +384,45 @@ func AdaptQueueCap(cur int, stallsDelta, highWater int64, quietSteps int) int {
 		return cur / 2
 	}
 	return cur
+}
+
+// Update-frame compression model (§IV-C). The paper compresses update
+// broadcasts because its testbed's network was the bottleneck (Fig. 8d);
+// on a fast or unmodelled link the codec only burns CPU, since a frame is
+// encoded once and decoded by every peer while the wire carries it for
+// free. One broadcast of a b-byte body to the other N−1 servers leaves its
+// sender's NIC in (N−1)·b/W seconds raw and (N−1)·ratio·b/W compressed, so
+// compression shortens the broadcast's critical path (encode, wire, decode)
+// exactly when (N−1)·(1−ratio)·b/W exceeds the encode and decode time of b
+// bytes. The body size cancels, leaving a per-job decision.
+
+// Snappy's cost on update frames, per raw body byte, on a 2-vCPU Xeon
+// (go1.24): the time it adds over a raw frame in
+// BenchmarkAppendEncodeDenseSnappy against BenchmarkAppendEncodeDenseRaw
+// (1.64 vs 0.12 ms for 532 KB) and BenchmarkDecodeIntoDenseSnappy against
+// BenchmarkDecodeIntoDenseRaw (0.44 vs 0.10 ms). MsgSnappyRatio is the
+// wire/raw ratio of snappy-compressed PageRank update frames (benchmark/'s
+// compress.wire_ratio: 0.78 on pr-mem and pr-ooc, 0.71 on svc-mixed).
+const (
+	MsgSnappyEncodeNsPerByte = 2.9
+	MsgSnappyDecodeNsPerByte = 0.6
+	MsgSnappyRatio           = 0.77
+)
+
+// SelectMsgCodec picks the codec of a job's update frames on n servers
+// whose NICs each carry netBandwidth bytes/s: snappy when the wire time the
+// broadcast saves exceeds snappy's encode + decode time, raw otherwise. A
+// non-positive bandwidth means no link cost is modelled (inproc or
+// loopback), and a single server broadcasts nothing; both are raw.
+func SelectMsgCodec(n int, netBandwidth int64) compress.Mode {
+	if n < 2 || netBandwidth <= 0 {
+		return compress.None
+	}
+	savedNsPerByte := float64(n-1) * (1 - MsgSnappyRatio) * 1e9 / float64(netBandwidth)
+	if savedNsPerByte > MsgSnappyEncodeNsPerByte+MsgSnappyDecodeNsPerByte {
+		return compress.Snappy
+	}
+	return compress.None
 }
 
 // Checkpoint-interval cost model. Checkpointing every superstep minimizes

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/graph"
 )
 
@@ -172,6 +173,37 @@ func TestSelectClockPolicy(t *testing.T) {
 	}
 	if SelectClockPolicy(100, -1) {
 		t.Fatal("negative capacity means disabled")
+	}
+}
+
+// TestSelectMsgCodec pins the update-frame codec decision where
+// measurements agree with it (PERF.md, "Message compression only where the
+// link pays"). It leaves 1 Gbps × 4 servers unpinned: the model picks
+// snappy there, but uk2007-sim PageRank's snappy and raw times overlap,
+// because a broadcast overlaps the next tiles' compute, which the model
+// leaves out. Pinning either answer would pin a guess.
+func TestSelectMsgCodec(t *testing.T) {
+	const (
+		gbps1  = 125_000_000   // 1 Gbps in bytes/s
+		gbps10 = 1_250_000_000 // 10 Gbps
+	)
+	type codecCase struct {
+		n    int
+		bw   int64
+		want compress.Mode
+	}
+	cases := []codecCase{
+		{1, gbps1, compress.None},
+		{2, gbps1, compress.None},
+		{8, gbps1, compress.Snappy},
+	}
+	for n := 2; n <= 8; n++ {
+		cases = append(cases, codecCase{n, 0, compress.None}, codecCase{n, gbps10, compress.None})
+	}
+	for _, c := range cases {
+		if got := SelectMsgCodec(c.n, c.bw); got != c.want {
+			t.Errorf("SelectMsgCodec(%d servers, %d B/s) = %v, want %v", c.n, c.bw, got, c.want)
+		}
 	}
 }
 

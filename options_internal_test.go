@@ -66,7 +66,7 @@ func TestEngineConfigMapsEveryKnob(t *testing.T) {
 		{"CacheMode", cfg.CacheMode, compress.Zlib1},
 		{"CachePolicyAuto", cfg.CachePolicyAuto, false},
 		{"CachePolicy", cfg.CachePolicy, cache.Clock},
-		{"MsgCodec", cfg.MsgCodec, compress.Snappy},
+		{"MsgCodec", *cfg.MsgCodec, compress.Snappy},
 		{"Replication", cfg.Replication, core.OnDemand},
 		{"BloomSkip", cfg.BloomSkip, false},
 		{"CheckpointEvery", cfg.CheckpointEvery, 4},
@@ -92,8 +92,8 @@ func TestEngineConfigAutoSelectDefaults(t *testing.T) {
 	if !cfg.CachePolicyAuto {
 		t.Error("nil CachePolicy must leave automatic policy selection on")
 	}
-	if cfg.MsgCodec != compress.Snappy {
-		t.Errorf("nil MessageCodec must default to snappy, got %v", cfg.MsgCodec)
+	if cfg.MsgCodec != nil {
+		t.Errorf("nil MessageCodec must leave the codec to the per-job cost model, got %v", *cfg.MsgCodec)
 	}
 	if cfg.Comm != comm.Auto {
 		t.Errorf("default wire encoding must be hybrid, got %v", cfg.Comm)
