@@ -145,3 +145,4 @@ fuzz-ci:
 	$(GO) test ./internal/core/ -run xxx -fuzz FuzzDecodeEndHeader -fuzztime 10s
 	$(GO) test ./internal/disk/ -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 10s
 	$(GO) test ./api/ -run xxx -fuzz FuzzDecodeJobRequest -fuzztime 10s
+	$(GO) test ./api/ -run xxx -fuzz FuzzDecodeResultPageInto -fuzztime 10s

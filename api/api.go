@@ -8,6 +8,12 @@
 // nanoseconds; enum-typed stats fields travel as their String names; vertex
 // values travel as Value so non-finite floats (SSSP's unreached +Inf)
 // survive JSON, which has no Inf/NaN literals.
+//
+// Every envelope goes through encoding/json except result pages, the one
+// bulk payload: AppendResultPage writes them and DecodeResultPageInto reads
+// them, without reflection, in exactly the bytes and with exactly the
+// acceptance rules encoding/json has for ResultPage, which stays the
+// documented schema and the codec's test oracle.
 package api
 
 import (
@@ -219,7 +225,10 @@ func ReportFromResult(program string, res *graphh.Result) *RunReport {
 }
 
 // ResultPage is one page of a job's final vertex values, served at
-// GET /v1/jobs/{id}/result?offset=&limit=.
+// GET /v1/jobs/{id}/result?offset=&limit=. It documents the page's JSON
+// schema; the daemon writes the bytes with AppendResultPage and the Go
+// client reads them with DecodeResultPageInto, both byte- and
+// bit-compatible with encoding/json on this type.
 type ResultPage struct {
 	JobID string `json:"job_id"`
 	// Offset is the index of Values[0] in the full vector; Total its
@@ -291,16 +300,7 @@ type Value float64
 
 // MarshalJSON implements json.Marshaler.
 func (v Value) MarshalJSON() ([]byte, error) {
-	f := float64(v)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(f):
-		return []byte(`"NaN"`), nil
-	}
-	return strconv.AppendFloat(nil, f, 'g', -1, 64), nil
+	return appendValue(nil, float64(v)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

@@ -164,44 +164,80 @@ func (c *Client) Wait(ctx context.Context, id string) (*api.JobStatus, error) {
 
 // Result fetches one page of a done job's vertex values.
 func (c *Client) Result(ctx context.Context, id string, offset, limit int) (*api.ResultPage, error) {
-	p := "/v1/jobs/" + url.PathEscape(id) + "/result?offset=" + strconv.Itoa(offset)
-	if limit > 0 {
-		p += "&limit=" + strconv.Itoa(limit)
-	}
-	var page api.ResultPage
-	if err := c.do(ctx, http.MethodGet, p, nil, &page); err != nil {
+	var body bytes.Buffer
+	if err := c.resultPage(ctx, id, offset, limit, &body); err != nil {
 		return nil, err
 	}
-	return &page, nil
+	jobID, off, total, values, err := api.DecodeResultPageInto(nil, body.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("client: job %s: result page at offset %d: %w", id, offset, err)
+	}
+	return &api.ResultPage{JobID: jobID, Offset: off, Total: total, Values: api.Values(values)}, nil
 }
 
 // Values pages through the job's whole value vector and returns it —
 // bit-identical to the in-process Result.Values (the wire form round-trips
 // every float64, ±Inf included). A 404 after the first page means the
 // daemon evicted the job mid-pagination (bounded terminal-job retention);
-// that surfaces as an error wrapping ErrJobEvicted.
+// that surfaces as an error wrapping ErrJobEvicted. The daemon's pages are
+// checked, not trusted: a negative or changing total, a page that does not
+// start where the last one ended, values past the total and a vector that
+// ends short of it are errors, and the vector grows only with the values
+// actually received.
 func (c *Client) Values(ctx context.Context, id string) ([]float64, error) {
-	var out []float64
+	var (
+		out   []float64
+		body  bytes.Buffer
+		total = -1
+	)
 	for {
-		page, err := c.Result(ctx, id, len(out), 0)
-		if err != nil {
+		at := len(out)
+		if err := c.resultPage(ctx, id, at, 0, &body); err != nil {
 			var ae *APIError
-			if len(out) > 0 && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-				return nil, fmt.Errorf("%w after %d of its values were read: %v", ErrJobEvicted, len(out), err)
+			if at > 0 && errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+				return nil, fmt.Errorf("%w after %d of its values were read: %v", ErrJobEvicted, at, err)
 			}
 			return nil, err
 		}
-		if out == nil {
-			out = make([]float64, 0, page.Total)
+		_, offset, pageTotal, values, err := api.DecodeResultPageInto(out, body.Bytes())
+		if err == nil {
+			switch {
+			case offset != at:
+				err = fmt.Errorf("page starts at offset %d", offset)
+			case pageTotal < 0:
+				err = fmt.Errorf("negative total %d", pageTotal)
+			case total >= 0 && pageTotal != total:
+				err = fmt.Errorf("total changed from %d to %d", total, pageTotal)
+			case len(values) > pageTotal:
+				err = fmt.Errorf("values run to %d, past the total %d", len(values), pageTotal)
+			case len(values) == at && at < pageTotal:
+				err = fmt.Errorf("empty page before the total %d", pageTotal)
+			}
 		}
-		if page.Offset != len(out) {
-			return nil, fmt.Errorf("client: result page at offset %d, want %d", page.Offset, len(out))
+		if err != nil {
+			return nil, fmt.Errorf("client: job %s: result page at offset %d: %w", id, at, err)
 		}
-		out = append(out, api.Floats(page.Values)...)
-		if len(out) >= page.Total || len(page.Values) == 0 {
+		out, total = values, pageTotal
+		if len(out) == total {
 			return out, nil
 		}
 	}
+}
+
+// resultPage reads the raw body of one result page into buf.
+func (c *Client) resultPage(ctx context.Context, id string, offset, limit int, buf *bytes.Buffer) error {
+	p := "/v1/jobs/" + url.PathEscape(id) + "/result?offset=" + strconv.Itoa(offset)
+	if limit > 0 {
+		p += "&limit=" + strconv.Itoa(limit)
+	}
+	resp, err := c.send(ctx, http.MethodGet, p, nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	return err
 }
 
 // ProgressStream is a live per-superstep statistics stream. Read it with
@@ -275,30 +311,41 @@ func (p *ProgressStream) Close() error { return p.body.Close() }
 
 // do performs one JSON request/response round trip.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	resp, err := c.send(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, err := io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send performs one request and returns the response of a 2xx status,
+// whose body the caller must close; any other status becomes an *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return decodeError(resp)
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
 	}
-	if out == nil {
-		_, err := io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
 }
 
 // decodeError turns a non-2xx response into an *APIError.

@@ -241,3 +241,63 @@ func TestRemovedOptionRejected(t *testing.T) {
 		t.Fatalf("error %q does not name the field", er.Error)
 	}
 }
+
+// TestValuesRejectsHostilePages: Values checks each result page against the
+// pages before it instead of trusting the daemon — a negative or huge total
+// must neither panic nor allocate for values never sent, and every lie ends
+// in an error that names the job and the page offset.
+func TestValuesRejectsHostilePages(t *testing.T) {
+	cases := []struct {
+		name  string
+		pages map[string]string // keyed by the requested offset
+		want  string
+	}{
+		{"negative total",
+			map[string]string{"0": `{"job_id":"j1","offset":0,"total":-1,"values":[]}`},
+			"offset 0: negative total -1"},
+		{"huge total",
+			map[string]string{
+				"0": `{"job_id":"j1","offset":0,"total":1099511627776,"values":[0.5]}`,
+				"1": `{"job_id":"j1","offset":1,"total":1099511627776,"values":[]}`,
+			},
+			"offset 1: empty page before the total 1099511627776"},
+		{"offset not where the last page ended",
+			map[string]string{
+				"0": `{"job_id":"j1","offset":0,"total":4,"values":[1,2]}`,
+				"2": `{"job_id":"j1","offset":0,"total":4,"values":[1,2]}`,
+			},
+			"offset 2: page starts at offset 0"},
+		{"total changes between pages",
+			map[string]string{
+				"0": `{"job_id":"j1","offset":0,"total":4,"values":[1,2]}`,
+				"2": `{"job_id":"j1","offset":2,"total":5,"values":[3,4]}`,
+			},
+			"offset 2: total changed from 4 to 5"},
+		{"values past the total",
+			map[string]string{"0": `{"job_id":"j1","offset":0,"total":1,"values":[1,2]}`},
+			"offset 0: values run to 2, past the total 1"},
+		{"malformed page",
+			map[string]string{"0": `{"job_id":"j1","offset":0,"total":2,"values":[1,]}`},
+			"offset 0: api: malformed result page"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				page, ok := tc.pages[r.URL.Query().Get("offset")]
+				if !ok {
+					http.Error(w, "unexpected page request", http.StatusTeapot)
+					return
+				}
+				_, _ = io.WriteString(w, page)
+			}))
+			defer hs.Close()
+			vals, err := client.New(hs.URL).Values(context.Background(), "j1")
+			if err == nil {
+				t.Fatalf("accepted %d values from a hostile daemon", len(vals))
+			}
+			if msg := err.Error(); !strings.Contains(msg, "job j1: result page at "+tc.want) {
+				t.Fatalf("error %q, want it to name the job and %q", msg, tc.want)
+			}
+		})
+	}
+}

@@ -425,13 +425,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if end > len(res.Values) {
 		end = len(res.Values)
 	}
-	s.writeJSON(w, http.StatusOK, &api.ResultPage{
-		JobID:  j.id,
-		Offset: offset,
-		Total:  len(res.Values),
-		Values: api.Values(res.Values[offset:end]),
-	})
+	buf := pageBufs.Get().(*[]byte)
+	*buf = api.AppendResultPage((*buf)[:0], j.id, offset, len(res.Values), res.Values[offset:end])
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = countWriter{w, &s.bytesServed}.Write(*buf)
+	pageBufs.Put(buf)
 }
+
+// pageBufs recycles result-page buffers across requests: a page is written
+// whole from one buffer, so a warm buffer serves it without growing.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	epoch, dead := s.reg.membership()
